@@ -1,4 +1,4 @@
-"""Backend shoot-out: interpreter vs compiled kernel vs vector backend.
+"""Backend shoot-out: interpreter vs compiled kernel.
 
 Times the execution backends on the instrumented (split + hoisted)
 builds of the 10 paper benchmarks — the exact programs a Figure 10
@@ -10,16 +10,6 @@ the level-0 straight translation.  Compile time is reported
 separately from run time because campaigns pay it once per worker and
 amortize it over every trial.
 
-The vector column times the same kernel dispatched with
-``vectorize=True`` — the whole-array NumPy path injector-free runs
-(golden, replay baseline, recovery re-execution) take.  Each kernel is
-warmed up first so the probe-based profitability memo is already
-decided when the timed runs start; ``vector_used`` records whether the
-probe committed the vector path (un-engaged benchmarks fall back to
-scalar, so their vector time ≈ compiled time by construction).  The
-vector contract excludes the OpCounts breakdown, so the timing loop
-checks checksums and statement totals only.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py
@@ -30,10 +20,6 @@ Usage::
 interpreter-vs-best-level speedup falls below ``X`` (CI uses 1.0:
 compiled must never be slower).  ``--fail-below-opt Y`` additionally
 gates the highest-level-vs-level-0 geomean (the optimizer win).
-``--fail-below-vector Z`` gates the vector-vs-compiled geomean over
-the *engaged* benchmarks (the ones whose probe committed the vector
-path — fallback benchmarks run scalar either way, so including them
-would let scalar noise mask a vector regression).
 See docs/BACKENDS.md for how to read the output.
 """
 
@@ -56,7 +42,6 @@ from repro.runtime.compile import (  # noqa: E402
     clear_kernel_cache,
     compile_program,
 )
-from repro.runtime import vector  # noqa: E402
 from repro.runtime.interpreter import run_program  # noqa: E402
 
 OPTIMIZED = InstrumentationOptions(
@@ -116,33 +101,6 @@ def bench_one(
     best = max(opt_levels)
     base = min(opt_levels)
 
-    # Vector column: same kernel, vectorize=True.  Two warm-up runs
-    # settle the profitability memo (the first probes vector *and*
-    # scalar; the second takes whichever path won) so the timed loop
-    # below measures the steady-state dispatch a campaign sees.
-    kernel = kernels[best]
-    for _ in range(2):
-        kernel.execute(
-            params, initial_values=_copy_values(values), vectorize=True
-        )
-    vector.reset_stats()
-    vector_s = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        rv = kernel.execute(
-            params, initial_values=_copy_values(values), vectorize=True
-        )
-        vector_s = min(vector_s, time.perf_counter() - start)
-        # OpCounts are outside the vector contract; checksums and the
-        # statement total are in it.
-        assert (
-            reference.checksums.sums == rv.checksums.sums
-        ), f"{name} vector: checksums diverge"
-        assert (
-            reference.statements_executed == rv.statements_executed
-        ), f"{name} vector: statement totals diverge"
-    vector_used = vector.vector_stats()["runs"] > 0
-
     return {
         "benchmark": name,
         "scale": scale,
@@ -161,10 +119,6 @@ def bench_one(
             for level in opt_levels
         },
         "opt_speedup": level_s[base] / level_s[best],
-        "vector_s": vector_s,
-        "vector_used": vector_used,
-        "vector_speedup": level_s[best] / vector_s,
-        "vector_speedup_vs_interp": interp_s / vector_s,
         "statements": reference.statements_executed,
     }
 
@@ -219,14 +173,6 @@ def main(argv: list[str] | None = None) -> int:
         help="exit 1 when the highest-vs-lowest opt level geomean "
         "speedup is below Y",
     )
-    parser.add_argument(
-        "--fail-below-vector",
-        type=float,
-        default=None,
-        metavar="Z",
-        help="exit 1 when the vector-vs-compiled geomean speedup over "
-        "the probe-engaged benchmarks is below Z",
-    )
     args = parser.parse_args(argv)
 
     names = args.benchmarks or list(ALL_BENCHMARKS)
@@ -246,14 +192,11 @@ def main(argv: list[str] | None = None) -> int:
             f"L{level}={row['levels'][str(level)]['run_s']:.3f}s"
             for level in opt_levels
         )
-        vec_tag = "vec" if row["vector_used"] else "(scalar)"
         print(
             f"{row['benchmark']:<10} interp={row['interp_s']:8.3f}s "
             f"{per_level} "
             f"speedup={row['speedup']:6.2f}x "
-            f"opt={row['opt_speedup']:5.2f}x "
-            f"vector={row['vector_s']:.3f}s "
-            f"{row['vector_speedup']:5.2f}x {vec_tag}"
+            f"opt={row['opt_speedup']:5.2f}x"
         )
 
     summary = {
@@ -279,26 +222,10 @@ def main(argv: list[str] | None = None) -> int:
     summary["total_speedup"] = (
         summary["total_interp_s"] / summary["total_compiled_s"]
     )
-    # The headline vector number averages only the benchmarks whose
-    # probe committed the vector path; fallback benchmarks run the
-    # scalar kernel either way (speedup ≈ 1 by construction), so the
-    # all-benchmarks geomean is reported separately as the fleet-wide
-    # expectation rather than the backend's quality bar.
-    engaged = [row for row in rows if row["vector_used"]]
-    summary["vector_engaged"] = [row["benchmark"] for row in engaged]
-    summary["geomean_vector_speedup"] = geomean(
-        [row["vector_speedup"] for row in engaged]
-    )
-    summary["geomean_vector_speedup_all"] = geomean(
-        [row["vector_speedup"] for row in rows]
-    )
     print(
         f"{'geomean':<10} speedup={summary['geomean_speedup']:6.2f}x  "
         f"total={summary['total_speedup']:.2f}x  "
-        f"opt={summary['geomean_opt_speedup']:.2f}x  "
-        f"vector={summary['geomean_vector_speedup']:.2f}x "
-        f"({len(engaged)}/{len(rows)} engaged, "
-        f"all={summary['geomean_vector_speedup_all']:.2f}x)"
+        f"opt={summary['geomean_opt_speedup']:.2f}x"
     )
 
     payload = {"benchmarks": rows, "summary": summary}
@@ -329,16 +256,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if args.fail_below_vector is not None:
-        got = summary["geomean_vector_speedup"]
-        if not engaged or not got >= args.fail_below_vector:
-            print(
-                f"FAIL: engaged vector geomean speedup {got:.2f}x "
-                f"< required {args.fail_below_vector:.2f}x "
-                f"(engaged: {summary['vector_engaged'] or 'none'})",
-                file=sys.stderr,
-            )
-            failed = True
     return 1 if failed else 0
 
 

@@ -12,7 +12,7 @@ rest is setup and classification overhead that batching amortizes:
   load-event indices — land exactly as they do on a fresh memory;
 * each trial's final state is appended to a ``(T, words)`` NumPy
   ``uint64`` image per array, and the golden comparison for all T
-  trials happens once, vectorized, via ``.view(float64/int64)`` —
+  trials happens once, in one NumPy pass, via ``.view(float64/int64)`` —
   bit-for-bit the decoded comparison :meth:`ProgramCampaignSpec`
   performs per trial (NaN ≠ NaN, ``-0.0 == 0.0``: verdicts depend on
   *decoded* values, never raw words).
@@ -28,10 +28,9 @@ compile fallback (no kernel to share) — fall back to the serial
 ``run_trial`` per index, producing the same records either way.
 
 The golden side of the ``(T, words)`` comparison is produced once by
-``ProgramCampaignSpec._prepare`` — which dispatches its injector-free
-golden run through the vector backend when profitable — so the batched
-campaign's only remaining scalar cost is the injected trials, which
-must observe the :class:`Memory` choke point event-by-event.
+``ProgramCampaignSpec._prepare``, so the batched campaign's only
+remaining per-trial cost is the injected runs, which must observe the
+:class:`Memory` choke point event-by-event.
 """
 
 from __future__ import annotations

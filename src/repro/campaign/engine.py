@@ -158,9 +158,8 @@ class CampaignResult:
     (``spec.prune='static'``): their records carry a *predicted*
     verdict (``extra.predicted``) instead of a measured one."""
     vector: dict[str, int] | None = None
-    """Vector-backend counters (probes/runs/fallbacks/memoized winners),
-    aggregated across driver and workers (see
-    :func:`repro.runtime.vector.vector_stats`)."""
+    """Always ``None``: the vector backend is gone.  Kept for the
+    benchmark harness, which still reads it."""
     store: dict[str, dict] | None = None
     """Per-namespace artifact-store stats (every namespace the run
     touched — golden, kernel, instrument, ISL memos), aggregated across
@@ -259,11 +258,11 @@ def run_campaign(
 def aggregate_stats(
     worker_totals: dict | None, driver_base: dict | None = None
 ) -> dict:
-    """Merged store + vector counters of *this run*: the driver's
+    """Merged store counters of *this run*: the driver's
     counter growth since ``driver_base`` plus every worker's shipped
     deltas — the log's stats trailer payload.  ``size``/``limit``
     gauges come from the driver's live namespaces."""
-    combined: dict = {"store": {}, "vector": {}}
+    combined: dict = {"store": {}}
     counters_add(combined, counters_delta(counters_snapshot(), driver_base))
     if worker_totals:
         counters_add(combined, worker_totals)
@@ -276,7 +275,7 @@ def aggregate_stats(
         entry["size"] = gauges.get("size", 0)
         entry["limit"] = gauges.get("limit", 0)
         store[name] = entry
-    return {"store": store, "vector": combined["vector"]}
+    return {"store": store}
 
 
 def _build_result(
@@ -290,7 +289,6 @@ def _build_result(
     return CampaignResult(
         golden_cache=store.get("golden", cache_stats()),
         instrument_cache=store.get("instrument", instrument_cache_stats()),
-        vector=stats["vector"],
         store=store,
         service=service,
         **kwargs,
@@ -368,7 +366,12 @@ def resume_campaign(
 
 
 def _check_header(contents: LogContents, spec: CampaignSpec) -> None:
-    if contents.spec_dict is not None and contents.spec_dict != spec.to_dict():
+    """Refuse a log of another campaign.  The header is compared in its
+    normalised form, so a log written before a retired spec field went
+    away still resumes."""
+    if contents.spec_dict is None:
+        return
+    if spec_from_dict(contents.spec_dict).to_dict() != spec.to_dict():
         raise ValueError(
             "log header does not match the campaign spec being resumed; "
             "refusing to merge records from a different campaign"
@@ -384,8 +387,7 @@ def replay_trial(
     cache keys on the spec's golden digest and the kernel LRU on the IR
     digest — so a replay never recompiles or re-executes a golden run
     another replay (or the original campaign, in-process) already paid
-    for; the golden leg itself dispatches through the vector backend
-    when profitable.  Pass ``prepared`` to replay many indices against
+    for.  Pass ``prepared`` to replay many indices against
     one explicitly shared context without any cache lookups.
     """
     if prepared is None:

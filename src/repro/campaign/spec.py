@@ -303,11 +303,6 @@ class ProgramCampaignSpec:
     """Trials per batched-execution group (``--batch``; see
     :mod:`repro.campaign.batch`).  1 = the serial per-trial loop.
     Batched and serial runs produce canonical-identical records."""
-    verify_vector: bool = False
-    """Run the golden (and recovery clean) runs through *both* the
-    vector and scalar backends and fail loudly on any contract-field
-    divergence (``--verify-vector``).  Purely a self-check: the scalar
-    result stays authoritative, so records are unchanged."""
     prune: str = "none"
     """``static`` skips trials the static oracle
     (:mod:`repro.analysis.oracle`) proves ``DETECTED`` or ``MASKED``,
@@ -387,7 +382,17 @@ class ProgramCampaignSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProgramCampaignSpec":
-        fields = {k: v for k, v in data.items() if k != "kind"}
+        if data.get("backend") == "vector":
+            raise ValueError(
+                "this log was written with the removed 'vector' backend; "
+                "rerun the campaign with --backend compiled (its records "
+                "are identical)"
+            )
+        fields = {
+            k: v
+            for k, v in data.items()
+            if k != "kind" and k not in _RETIRED_FIELDS
+        }
         fields["params"] = tuple(
             (name, int(value)) for name, value in fields.get("params", ())
         )
@@ -487,7 +492,7 @@ class ProgramCampaignSpec:
 
             backend_fp = (
                 config_for_level(self.opt_level).fingerprint()
-                if self.backend in ("compiled", "vector")
+                if self.backend == "compiled"
                 else None
             )
             program, _ = instrument_cached(
@@ -503,22 +508,16 @@ class ProgramCampaignSpec:
         # interpreter — the two backends are bit-identical, so the
         # choice never changes a verdict.
         kernel = None
-        if self.backend in ("compiled", "vector"):
+        if self.backend == "compiled":
             try:
                 kernel = compile_program(program, opt_level=self.opt_level)
             except CompileError:
                 kernel = None
         if kernel is not None:
-            # The golden run is injector-free: let it dispatch to the
-            # vector backend (probe-gated; scalar stays authoritative
-            # for bit-identity, and every contract field the campaign
-            # reads — finals, load/store totals — is vector-exact).
             clean = kernel.execute(
                 params,
                 initial_values=_copy_values(values),
                 channels=self.channels,
-                vectorize=True,
-                verify_vector=self.verify_vector,
             )
         else:
             clean = run_program(
@@ -566,8 +565,6 @@ class ProgramCampaignSpec:
             initial_values=_copy_values(values),
             channels=self.channels,
             backend=self.backend,
-            vectorize=True,
-            verify_vector=self.verify_vector,
         )
         if clean.detected:
             raise RuntimeError(
@@ -775,6 +772,11 @@ def _copy_values(values: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
+#: Header keys of logs written by older versions that no spec field
+#: carries any more: ``verify_vector`` only self-checked the removed
+#: vector backend and never changed a record.
+_RETIRED_FIELDS = ("verify_vector",)
+
 SPEC_KINDS: dict[str, type] = {
     ChecksumCampaignSpec.kind: ChecksumCampaignSpec,
     ProgramCampaignSpec.kind: ProgramCampaignSpec,
@@ -784,9 +786,16 @@ CampaignSpec = ChecksumCampaignSpec | ProgramCampaignSpec
 
 
 def spec_from_dict(data: dict) -> "CampaignSpec":
-    """Reconstruct a spec from its :meth:`to_dict` form (log headers)."""
+    """Reconstruct a spec from its :meth:`to_dict` form (log headers).
+
+    Every way a header can be malformed raises :class:`ValueError`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed campaign header: {data!r}")
     try:
         cls = SPEC_KINDS[data["kind"]]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown campaign kind {data.get('kind')!r}") from None
-    return cls.from_dict(data)
+    try:
+        return cls.from_dict(data)
+    except TypeError as error:
+        raise ValueError(f"malformed campaign header: {error}") from None

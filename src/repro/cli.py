@@ -334,7 +334,6 @@ def _campaign_spec_from_args(args):
         burst_cells=args.burst_cells,
         opt_level=args.opt_level,
         batch=args.batch,
-        verify_vector=args.verify_vector,
         prune=args.prune,
     )
     if args.benchmark is not None:
@@ -397,9 +396,6 @@ def _print_campaign_result(result) -> int:
     print(summary.format())
     if result.golden_cache is not None:
         print(_format_cache_stats(result.golden_cache))
-    vector = getattr(result, "vector", None)
-    if vector and any(vector.values()):
-        print(_format_vector_stats(vector))
     instrument_stats = getattr(result, "instrument_cache", None)
     if instrument_stats is not None and (
         instrument_stats["hits"]
@@ -437,15 +433,6 @@ def _format_instrument_cache_stats(stats: dict) -> str:
         f"misses={stats['misses']} disk_hits={stats['disk_hits']} "
         f"evictions={stats['evictions']} "
         f"size={stats['size']}/{stats['limit']}"
-    )
-
-
-def _format_vector_stats(stats: dict) -> str:
-    return (
-        f"vector backend: runs={stats['runs']} "
-        f"fallbacks={stats['fallbacks']} probes={stats['probes']} "
-        f"engaged_keys={stats['engaged_keys']} "
-        f"scalar_keys={stats['scalar_keys']}"
     )
 
 
@@ -569,7 +556,10 @@ def cmd_campaign_report(args) -> int:
     except OSError as error:
         raise SystemExit(str(error)) from None
     if contents.spec_dict is not None:
-        spec = spec_from_dict(contents.spec_dict)
+        try:
+            spec = spec_from_dict(contents.spec_dict)
+        except ValueError as error:
+            raise SystemExit(f"{args.log}: {error}") from None
         done = len(contents.records)
         print(
             f"campaign log: {args.log} — {done}/{spec.trials} trials"
@@ -612,9 +602,6 @@ def cmd_campaign_report(args) -> int:
             or instrument.get("disk_hits")
         ):
             print(_format_instrument_cache_stats(instrument))
-        vstats = contents.stats.get("vector") or {}
-        if any(vstats.values()):
-            print(_format_vector_stats(vstats))
         service = contents.stats.get("service")
         if service is not None:
             print(_format_service_stats(service))
@@ -630,11 +617,6 @@ def cmd_campaign_report(args) -> int:
     istats = instrument_cache_stats()
     if istats["hits"] or istats["misses"] or istats["disk_hits"]:
         print(_format_instrument_cache_stats(istats))
-    from repro.runtime.vector import vector_stats
-
-    vstats = vector_stats()
-    if any(vstats.values()):
-        print(_format_vector_stats(vstats))
     return 0
 
 
@@ -679,12 +661,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--register-budget", type=int, default=None,
                        help="per-bundle register file size (enables the "
                        "Section 5 spill modeling; forces the interpreter)")
-    p_run.add_argument("--backend", choices=("interp", "compiled", "vector"),
+    p_run.add_argument("--backend", choices=("interp", "compiled"),
                        default="compiled",
                        help="execution backend (compiled falls back to the "
-                       "interpreter on unsupported constructs; vector "
-                       "dispatches injector-free runs to the whole-array "
-                       "backend when profitable)")
+                       "interpreter on unsupported constructs)")
     p_run.add_argument("--opt-level", type=int, choices=(0, 1, 2), default=2,
                        help="compiled-backend optimization level "
                        "(0 = straight translation, 1 = folding+LICM+"
@@ -785,12 +765,10 @@ def main(argv: list[str] | None = None) -> int:
         p_crun.add_argument("--no-split", action="store_true")
         p_crun.add_argument("--no-hoist", action="store_true")
         p_crun.add_argument("--channels", type=int, default=1)
-        p_crun.add_argument("--backend", choices=("interp", "compiled", "vector"),
+        p_crun.add_argument("--backend", choices=("interp", "compiled"),
                             default="compiled",
                             help="per-trial execution backend (bit-identical "
-                            "results; compiled is faster; vector additionally "
-                            "dispatches injector-free runs to the whole-array "
-                            "backend)")
+                            "results; compiled is faster)")
         p_crun.add_argument("--opt-level", type=int, choices=(0, 1, 2),
                             default=2,
                             help="compiled-backend optimization level "
@@ -808,11 +786,6 @@ def main(argv: list[str] | None = None) -> int:
                             "recovery_failed / sdc_after_recovery")
         p_crun.add_argument("--recover-retries", type=int, default=3,
                             help="replay budget per detection episode")
-        p_crun.add_argument("--verify-vector", action="store_true",
-                            help="run injector-free legs through BOTH the "
-                            "vector and scalar backends and fail on any "
-                            "contract-field divergence (self-check; records "
-                            "are unchanged)")
         p_crun.add_argument("--prune", choices=("none", "static"),
                             default="none",
                             help="static: skip trials the static analysis "

@@ -129,17 +129,6 @@ class CompileError(Exception):
     """The program uses a construct the codegen backend cannot lower."""
 
 
-def program_elem_types(program) -> dict[str, str]:
-    """Region name -> element type for every declared array and scalar.
-
-    Shared by backends that need the full type map up front (the vector
-    planner) instead of the emitter's incremental lookups.
-    """
-    types = {d.name: d.elem_type for d in program.arrays}
-    types.update({d.name: d.elem_type for d in program.scalars})
-    return types
-
-
 def _pytype(elem_type: str) -> str:
     if elem_type == "f64":
         return "float"

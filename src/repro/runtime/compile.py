@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -56,7 +55,6 @@ from repro.runtime.state import ChecksumState
 __all__ = [
     "CompileError",
     "CompiledKernel",
-    "VectorVerificationError",
     "compile_program",
     "ir_digest",
     "run_compiled",
@@ -66,13 +64,7 @@ __all__ = [
     "BACKENDS",
 ]
 
-BACKENDS = ("interp", "compiled", "vector")
-
-
-class VectorVerificationError(AssertionError):
-    """``verify_vector`` caught the vector backend diverging from the
-    scalar kernel on a contract field.  Always a backend bug: the vector
-    path must be bit-identical or fall back."""
+BACKENDS = ("interp", "compiled")
 
 
 class _Halt(Exception):
@@ -208,18 +200,6 @@ class CompiledKernel:
     #: time when no fault injector is attached to the memory image.
     fast_source: str | None = None
     fast_entry: Callable[[_RuntimeContext], None] | None = None
-    #: Vector backend: whole-array plan, built lazily on the first
-    #: injector-free dispatch (``None`` once built = unplannable).
-    vector_plan: object = None
-    vector_plan_built: bool = False
-
-    def _vector_plan_for(self):
-        if not self.vector_plan_built:
-            from repro.runtime.vector import plan_program
-
-            self.vector_plan = plan_program(self.program)
-            self.vector_plan_built = True
-        return self.vector_plan
 
     def execute(
         self,
@@ -232,25 +212,12 @@ class CompiledKernel:
         wild_reads: bool = False,
         halt_on_mismatch: bool = False,
         checksums: ChecksumState | None = None,
-        vectorize: bool = False,
-        verify_vector: bool = False,
     ) -> ExecutionResult:
         """Run the kernel; mirrors ``run_program``'s contract.
 
         A caller-supplied ``checksums`` state is used as-is (the
         recovery controller threads one state through its per-epoch
         sub-runs); otherwise a fresh one is created.
-
-        ``vectorize=True`` lets the run dispatch to the vector backend
-        when no injector is attached, the program planned, and the
-        profitability probe for this (kernel, params, channels) key
-        measured a win.  A vector-committed result carries a zeroed
-        :class:`OpCounts` — the per-op breakdown is out of the vector
-        identity contract; memory load/store totals, checksums, the
-        final image, steps, mismatches and first detection are exact.
-        ``verify_vector=True`` runs *both* backends (vector against a
-        cloned state) and raises :class:`VectorVerificationError` on
-        any contract-field divergence; the scalar result is returned.
         """
         run_params = {p: int(params[p]) for p in self.program.params}
         if memory is None:
@@ -269,68 +236,6 @@ class CompiledKernel:
                 f"resumed checksum state has {checksums.channels} channels, "
                 f"kernel was asked for {channels}"
             )
-        want_vector = (
-            vectorize and not wild_reads and memory.injector is None
-        )
-        _vec = None
-        if want_vector:
-            from repro.runtime import vector as _vec
-
-            want_vector = (
-                _vec.vector_enabled()
-                and self._vector_plan_for() is not None
-            )
-        vclone_mem = vclone_sums = vout = None
-        probe_key = probe_seconds = None
-        if want_vector and verify_vector:
-            # Vector runs on a cloned state; the scalar run below stays
-            # authoritative for the returned result.
-            vclone_mem = _clone_memory(self.program, run_params, memory)
-            vclone_sums = _clone_checksums(checksums)
-            vout = _vec.execute_vector(
-                self,
-                run_params,
-                vclone_mem,
-                vclone_sums,
-                max_steps,
-                halt_on_mismatch,
-            )
-        elif want_vector:
-            key = _vec.profit_key(self, run_params, channels)
-            state = _vec.profit_state(key)
-            if state is True:
-                out = _vec.execute_vector(
-                    self,
-                    run_params,
-                    memory,
-                    checksums,
-                    max_steps,
-                    halt_on_mismatch,
-                )
-                if out is not None:
-                    return ExecutionResult(
-                        checksums=checksums,
-                        mismatches=out["mismatches"],
-                        counts=OpCounts(),
-                        memory=memory,
-                        statements_executed=out["statements_executed"],
-                        spills=0,
-                        first_detection_step=out["first_detection_step"],
-                    )
-            elif state is None:
-                # Undecided key: time an uncommitted vector attempt now
-                # and the scalar run we perform anyway; the faster path
-                # wins the memo for every later dispatch of this key.
-                probe_seconds = _vec.probe(
-                    self,
-                    run_params,
-                    memory,
-                    checksums,
-                    max_steps,
-                    halt_on_mismatch,
-                )
-                if probe_seconds is not None:
-                    probe_key = key
         rt = _RuntimeContext(
             memory=memory,
             checksums=checksums,
@@ -344,15 +249,8 @@ class CompiledKernel:
         entry = self.entry
         if self.fast_entry is not None and memory.injector is None:
             entry = self.fast_entry
-        if probe_key is not None:
-            started = time.perf_counter()
-            entry(rt)
-            _vec.record_profit(
-                probe_key, probe_seconds, time.perf_counter() - started
-            )
-        else:
-            entry(rt)
-        result = ExecutionResult(
+        entry(rt)
+        return ExecutionResult(
             checksums=rt.checksums,
             mismatches=rt.mismatches,
             counts=rt.counts,
@@ -360,78 +258,6 @@ class CompiledKernel:
             statements_executed=rt.statements_executed,
             spills=0,
             first_detection_step=rt.first_detection_step,
-        )
-        if vout is not None:
-            _check_vector_identity(
-                self.program.name,
-                memory,
-                checksums,
-                result,
-                vclone_mem,
-                vclone_sums,
-                vout,
-            )
-        return result
-
-
-def _clone_memory(program: Program, run_params, memory: Memory) -> Memory:
-    """Injector-free copy of a memory image for differential runs.
-
-    A fresh build declares regions in the same order, so bases (and
-    with them the rotated-channel addresses) are identical by
-    construction.
-    """
-    clone = build_memory_for_program(program, run_params)
-    for name, region in memory._regions.items():
-        clone._regions[name].words[:] = list(region.words)
-        clone._regions[name].version = region.version
-    clone.load_count = memory.load_count
-    clone.store_count = memory.store_count
-    return clone
-
-
-def _clone_checksums(checksums: ChecksumState) -> ChecksumState:
-    clone = ChecksumState(channels=checksums.channels)
-    clone.sums = [dict(channel) for channel in checksums.sums]
-    clone.contribution_count = checksums.contribution_count
-    return clone
-
-
-def _check_vector_identity(
-    name, memory, checksums, result, vmem, vsums, vout
-) -> None:
-    """Compare every vector-contract field; raise on the first diff."""
-    problems = []
-    for rname, region in memory._regions.items():
-        if list(vmem._regions[rname].words) != list(region.words):
-            problems.append(f"final image of region {rname!r}")
-    if vsums.sums != checksums.sums:
-        problems.append("checksum sums")
-    if vsums.contribution_count != checksums.contribution_count:
-        problems.append("contribution count")
-    if vmem.load_count != memory.load_count:
-        problems.append(
-            f"load count {vmem.load_count} != {memory.load_count}"
-        )
-    if vmem.store_count != memory.store_count:
-        problems.append(
-            f"store count {vmem.store_count} != {memory.store_count}"
-        )
-    if vout["statements_executed"] != result.statements_executed:
-        problems.append(
-            f"steps {vout['statements_executed']} != "
-            f"{result.statements_executed}"
-        )
-    if vout["mismatches"] != list(result.mismatches):
-        problems.append("mismatch events")
-    if vout["first_detection_step"] != result.first_detection_step:
-        problems.append(
-            f"first detection {vout['first_detection_step']} != "
-            f"{result.first_detection_step}"
-        )
-    if problems:
-        raise VectorVerificationError(
-            f"vector backend diverged on {name!r}: " + "; ".join(problems)
         )
 
 
@@ -633,8 +459,6 @@ def run_compiled(
     halt_on_mismatch: bool = False,
     fallback: bool = True,
     opt_level: int | None = None,
-    vectorize: bool = False,
-    verify_vector: bool = False,
 ) -> ExecutionResult:
     """``run_program`` signature, compiled backend.
 
@@ -642,9 +466,6 @@ def run_compiled(
     ``register_budget``, which the kernel cannot model — reruns through
     the interpreter; ``fallback=False`` surfaces the error (used by the
     differential tests to prove no silent fallback happened).
-    ``vectorize``/``verify_vector`` thread through to
-    :meth:`CompiledKernel.execute` (no effect on interpreter reruns —
-    the vector backend only shadows the compiled kernel).
     """
     if register_budget is not None:
         if not fallback:
@@ -685,8 +506,6 @@ def run_compiled(
         max_steps=max_steps,
         wild_reads=wild_reads,
         halt_on_mismatch=halt_on_mismatch,
-        vectorize=vectorize,
-        verify_vector=verify_vector,
     )
 
 
@@ -696,20 +515,11 @@ def execute_program(
     backend: str = "compiled",
     **kwargs,
 ) -> ExecutionResult:
-    """Backend dispatcher: one of :data:`BACKENDS`.
-
-    ``"vector"`` is the compiled backend with vector dispatch enabled —
-    still probe-gated and injector-guarded, never a forced vector run.
-    """
+    """Backend dispatcher: one of :data:`BACKENDS`."""
     if backend == "interp":
         kwargs.pop("opt_level", None)  # interpreter has no optimizer
-        kwargs.pop("vectorize", None)
-        kwargs.pop("verify_vector", None)
         return run_program(program, params, **kwargs)
     if backend == "compiled":
-        return run_compiled(program, params, **kwargs)
-    if backend == "vector":
-        kwargs.setdefault("vectorize", True)
         return run_compiled(program, params, **kwargs)
     raise ValueError(
         f"unknown backend {backend!r}; expected one of {BACKENDS}"

@@ -1,81 +1,14 @@
-"""Vector backend: whole-array NumPy kernels for injector-free runs.
+"""Removed: the whole-array NumPy backend for injector-free runs.
 
-:func:`repro.runtime.vector.plan.plan_program` compiles instrumented IR
-into a whole-array execution plan (or ``None`` when any construct fails
-the compile-time legality rules); :mod:`repro.runtime.vector.runner`
-executes a plan transactionally against NumPy mirrors of the memory
-image and commits only bit-identical final state.
+The backend only ever accelerated runs with no fault injector attached,
+and a campaign makes one such run (its golden run) against thousands
+of injected trials.  Measured on the Table 1, fault-model matrix and
+recovery workloads, injector-free runs took 0%, 5.3% and 4.0% of wall
+time, the backend committed no vector run on any of them, and every
+cold golden run still paid for a timed profitability probe.  The
+compiled scalar kernel (:mod:`repro.runtime.compile`) is the only
+compiled path; its results were always the authoritative ones.
 
-The backend is *opportunistic*: the scalar kernel stays authoritative,
-and dispatch sites engage the vector path only when no fault injector
-is attached and a measured profitability probe shows a real win for the
-(kernel, params, channels) key.  ``REPRO_VECTOR=0`` in the environment
-disables dispatch process-wide.
+The empty package stays importable for the benchmark harness, which
+imports it up front.
 """
-
-from __future__ import annotations
-
-import os
-
-from repro.runtime.vector.plan import (
-    VectorFallback,
-    VectorUnsupported,
-    plan_program,
-)
-from repro.runtime.vector.runner import (
-    PROFIT_MARGIN,
-    clear_dispatch_caches,
-    clear_profit_memo,
-    execute_vector,
-    probe,
-    profit_key,
-    profit_state,
-    record_profit,
-    reset_stats,
-)
-
-__all__ = [
-    "PROFIT_MARGIN",
-    "VectorFallback",
-    "VectorUnsupported",
-    "clear_dispatch_caches",
-    "clear_profit_memo",
-    "execute_vector",
-    "plan_program",
-    "probe",
-    "profit_key",
-    "profit_state",
-    "record_profit",
-    "reset_stats",
-    "vector_enabled",
-    "vector_stats",
-]
-
-
-def vector_enabled() -> bool:
-    """Process-wide kill switch: ``REPRO_VECTOR=0`` disables dispatch."""
-    return os.environ.get("REPRO_VECTOR", "1").strip().lower() not in (
-        "0",
-        "off",
-        "false",
-        "no",
-    )
-
-
-def vector_stats() -> dict[str, int]:
-    """Introspection counters (read fresh — tests reset them).
-
-    ``probes`` counts timed profitability trials, ``runs`` committed
-    vector executions, ``fallbacks`` aborted attempts;
-    ``engaged_keys``/``scalar_keys`` split the profitability memo by its
-    measured verdict (memoized winners)."""
-    from repro.runtime.vector import runner
-
-    verdicts = list(runner._PROFIT.values())
-    return {
-        "runs": runner.VECTOR_RUNS,
-        "fallbacks": runner.VECTOR_FALLBACKS,
-        "probes": runner.VECTOR_PROBES,
-        "engaged_keys": sum(1 for verdict in verdicts if verdict),
-        "scalar_keys": sum(1 for verdict in verdicts if not verdict),
-    }

@@ -308,11 +308,9 @@ def store_counters() -> dict[str, dict[str, int]]:
 
 
 def counters_snapshot() -> dict[str, dict]:
-    """Everything a campaign worker reports deltas of: store counters
-    plus the vector backend's dispatch counters."""
-    from repro.runtime.vector import vector_stats
-
-    return {"store": store_counters(), "vector": dict(vector_stats())}
+    """Everything a campaign worker reports deltas of: the store
+    counters."""
+    return {"store": store_counters()}
 
 
 def _diff_flat(now: dict, base: dict) -> dict[str, int]:
@@ -333,7 +331,6 @@ def counters_delta(now: dict, base: dict | None) -> dict:
             name: _diff_flat(flat, base_store.get(name, {}))
             for name, flat in now.get("store", {}).items()
         },
-        "vector": _diff_flat(now.get("vector", {}), base.get("vector", {})),
     }
 
 
@@ -344,9 +341,6 @@ def counters_add(total: dict, delta: dict) -> dict:
         into = total.setdefault("store", {}).setdefault(name, {})
         for key, value in flat.items():
             into[key] = into.get(key, 0) + value
-    vector = total.setdefault("vector", {})
-    for key, value in delta.get("vector", {}).items():
-        vector[key] = vector.get(key, 0) + value
     return total
 
 

@@ -192,6 +192,25 @@ class TestLogFormat:
         assert len(contents.records) == CHECKSUM_SPEC.trials
 
 
+class TestRetiredVectorField:
+    """``CampaignResult.vector`` outlived the vector backend only for
+    callers that still read it; every execution mode leaves it unset."""
+
+    @pytest.mark.parametrize(
+        "workers, overrides",
+        ((1, {}), (2, {}), (1, {"batch": 4}), (1, {"recover": True})),
+        ids=("serial", "workers", "batch", "recover"),
+    )
+    def test_result_vector_is_none(self, workers, overrides):
+        spec = ProgramCampaignSpec(
+            trials=4, seed=5, benchmark="jacobi1d", scale="small",
+            **overrides,
+        )
+        result = run_campaign(spec, workers=workers)
+        assert result.vector is None
+        assert len(result.records) == 4
+
+
 class TestVerdicts:
     def test_no_injection_when_program_never_loads(self):
         """A store-only program gives the injector no load event to

@@ -101,7 +101,7 @@ class TestBitIdentity:
         svc = run_service_campaign(spec, workers=2, shard_trials=2)
         assert canonical(base) == canonical(svc)
 
-    @pytest.mark.parametrize("backend", ("interp", "compiled", "vector"))
+    @pytest.mark.parametrize("backend", ("interp", "compiled"))
     def test_every_backend(self, backend):
         spec = _program_spec(backend=backend)
         base = run_campaign(spec, workers=1)
@@ -190,9 +190,14 @@ class TestLogAndResume:
 
 
 class _CrashingEndpoint:
-    """Wraps LocalProcessEndpoint; kills its worker mid-shard, once
-    per campaign, after a few records have streamed (so the dispatcher
-    must merge partials with the reissued remainder)."""
+    """Wraps LocalProcessEndpoint; once per campaign, forwards only the
+    first few records of a shard, kills the worker and fails the shard
+    (so the dispatcher must merge the partial prefix with the reissued
+    remainder).  Records past the prefix are dropped even when the
+    worker streams them before the kill lands, so the crash does not
+    depend on timing."""
+
+    PREFIX = 3
 
     def __init__(self, spec, crashes):
         self._inner = LocalProcessEndpoint(spec)
@@ -202,28 +207,28 @@ class _CrashingEndpoint:
         await self._inner.start()
 
     async def run_shard(self, shard, on_record):
-        if self._crashes["remaining"] > 0:
-            self._crashes["remaining"] -= 1
-            seen = 0
+        if self._crashes["remaining"] <= 0:
+            return await self._inner.run_shard(shard, on_record)
+        self._crashes["remaining"] -= 1
+        forwarded = 0
 
-            def tripwire(record):
-                nonlocal seen
+        def prefix(record):
+            nonlocal forwarded
+            if forwarded < self.PREFIX:
                 on_record(record)
-                seen += 1
+                forwarded += 1
 
-            task = asyncio.ensure_future(
-                self._inner.run_shard(shard, tripwire)
-            )
-            while not task.done() and seen == 0:
-                await asyncio.sleep(0.001)
-            self._inner.process.kill()
-            try:
-                return await task
-            except ShardFailed:
-                raise
-            except Exception as error:  # pragma: no cover - defensive
-                raise ShardFailed(str(error)) from error
-        return await self._inner.run_shard(shard, on_record)
+        task = asyncio.ensure_future(self._inner.run_shard(shard, prefix))
+        while not task.done() and forwarded < self.PREFIX:
+            await asyncio.sleep(0.001)
+        self._inner.process.kill()
+        try:
+            await task
+        except ShardFailed:
+            pass
+        raise ShardFailed(
+            f"worker killed after {forwarded} of {len(shard.indices)} records"
+        )
 
     async def close(self):
         await self._inner.close()

@@ -116,6 +116,17 @@ class TestSpecRoundTrips:
         with pytest.raises(ValueError):
             spec_from_dict({"kind": "quantum"})
 
+    def test_removed_vector_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            ProgramCampaignSpec(
+                trials=1, seed=0, benchmark="lu", backend="vector"
+            )
+        header = ProgramCampaignSpec(
+            trials=1, seed=0, benchmark="lu"
+        ).to_dict()
+        with pytest.raises(ValueError, match="removed 'vector' backend"):
+            spec_from_dict(dict(header, backend="vector"))
+
 
 class TestInitialValues:
     def test_kinds(self):
@@ -181,6 +192,23 @@ class TestTrialReplay:
         for index in (0, 17, 39):
             solo = replay_trial(spec, index)
             assert solo.canonical() == full.records[index].canonical()
+
+    def test_program_trial_replay_matches_campaign(self):
+        """Program campaigns too, with and without a shared prepared
+        context."""
+        from repro.campaign.engine import replay_trial, run_campaign
+
+        spec = ProgramCampaignSpec(
+            trials=6, seed=9, benchmark="jacobi1d", scale="small"
+        )
+        result = run_campaign(spec)
+        prepared = spec.prepare()
+        for record in result.records:
+            for replay in (
+                replay_trial(spec, record.index),
+                replay_trial(spec, record.index, prepared=prepared),
+            ):
+                assert replay.canonical() == record.canonical()
 
     def test_trial_rng_is_self_contained(self):
         """Trial i's outcome does not depend on trials 0..i-1 having

@@ -23,9 +23,11 @@ from repro.instrument.pipeline import (
 from repro.ir.parser import parse_program
 from repro.programs import ALL_BENCHMARKS
 from repro.runtime.compile import (
+    BACKENDS,
     CompileError,
     clear_kernel_cache,
     compile_program,
+    execute_program,
     ir_digest,
     kernel_cache_stats,
     run_compiled,
@@ -125,6 +127,33 @@ def test_injected_identical(name):
             fallback=False,
         )
         assert_identical(interp, compiled, (inj_interp, inj_compiled))
+
+
+def test_execute_program_dispatches_every_backend():
+    """``execute_program`` serves exactly :data:`BACKENDS`, identically;
+    the removed ``vector`` backend is an unknown name."""
+    assert BACKENDS == ("interp", "compiled")
+    program, params, values = _build("jacobi1d", instrumented=True)
+    interp, compiled = (
+        execute_program(
+            program,
+            params,
+            backend=backend,
+            initial_values=_copy(values),
+            channels=2,
+        )
+        for backend in BACKENDS
+    )
+    assert_identical(interp, compiled)
+    with pytest.raises(ValueError, match="unknown backend 'vector'"):
+        execute_program(program, params, backend="vector")
+
+
+def test_vector_package_is_an_empty_stub():
+    import repro.runtime.vector as stub
+
+    assert "Removed" in stub.__doc__
+    assert not [name for name in vars(stub) if not name.startswith("__")]
 
 
 class TestKernelCache:

@@ -4,6 +4,8 @@ For any program from :func:`repro.ir.generate.random_affine_program`,
 the instrumented build must (a) compile without falling back, (b) run
 bit-identically on both backends, and (c) keep the fault-free def/use
 checksum balance — the invariant the whole detection scheme rests on.
+A second property covers a shape the generator never produces: a
+data-dependent while loop between two affine nests.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from repro.instrument.pipeline import (
     instrument_program,
 )
 from repro.ir.generate import MIN_PARAM, random_affine_program
+from repro.ir.parser import parse_program
 from repro.runtime.compile import compile_program, run_compiled
 from repro.runtime.interpreter import run_program
 
@@ -82,3 +85,40 @@ def test_uninstrumented_roundtrip(seed):
     compiled = run_compiled(program, params, fallback=False)
     assert interp.memory.snapshot() == compiled.memory.snapshot()
     assert interp.counts == compiled.counts
+
+
+_MIXED_TEMPLATE = """
+program mixed(n) {{
+  array A[n];
+  array B[n];
+  scalar s;
+  for i = 0 .. n - 1 {{
+    S1: A[i] = i * 3 + 1;
+  }}
+  while (s < {k}) {{
+    W1: s = s + 1;
+  }}
+  for i = 0 .. n - 1 {{
+    S2: B[i] = A[i] * 2 + s;
+  }}
+}}
+"""
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=12),
+    k=st.integers(min_value=0, max_value=9),
+)
+def test_while_between_nests_roundtrip(n, k):
+    program, _ = instrument_program(
+        parse_program(_MIXED_TEMPLATE.format(k=k)), OPTIMIZED
+    )
+    params = {"n": n}
+    interp = run_program(program, params, channels=2)
+    compiled = run_compiled(program, params, channels=2, fallback=False)
+    assert interp.checksums.sums == compiled.checksums.sums
+    assert interp.counts == compiled.counts
+    assert interp.statements_executed == compiled.statements_executed
+    assert interp.memory.snapshot() == compiled.memory.snapshot()
+    assert not compiled.mismatches

@@ -81,6 +81,17 @@ def test_backends_identical_recovery_outcomes(model, name):
         assert record["extra"]["fault_model"] == model
 
 
+@pytest.mark.parametrize("model", ["random_cell", "stuck_bit"])
+@pytest.mark.parametrize("extra", [{}, {"batch": 4}, {"recover": True}])
+def test_longer_campaigns_identical_across_backends(model, extra):
+    """Eight trials on jacobi1d: the compiled campaign — serial, batched
+    or under recovery — matches the interpreter record for record (the
+    interpreter runs batched specs serially)."""
+    interp = _spec(model, "jacobi1d", "interp", trials=8, seed=5, **extra)
+    compiled = replace(interp, backend="compiled")
+    assert _canonical_records(interp) == _canonical_records(compiled)
+
+
 @pytest.mark.parametrize("model", FAULT_MODELS)
 def test_trial_records_replayable(model):
     """Any single trial replays to the same canonical record, alone."""

@@ -220,6 +220,23 @@ class TestCampaign:
         with pytest.raises(SystemExit):
             main(["campaign", "run", "--trials", "2"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["campaign", "run", "--benchmark", "jacobi1d", "--backend",
+             "vector"],
+            ["campaign", "run", "--benchmark", "jacobi1d", "--verify-vector"],
+            ["campaign", "serve", "--benchmark", "jacobi1d", "--backend",
+             "vector"],
+        ),
+        ids=("run-backend", "run-verify", "serve-backend"),
+    )
+    def test_removed_vector_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "vector" in capsys.readouterr().err
+
 
 class TestMacroParsing:
     def test_macro_statements_round_trip(self):
