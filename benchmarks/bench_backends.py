@@ -10,6 +10,12 @@ the level-0 straight translation.  Compile time is reported
 separately from run time because campaigns pay it once per worker and
 amortize it over every trial.
 
+Every level is timed twice: injector-free (a golden run) and
+*injected*, with a seeded ``random_cell`` injector attached — the way
+every campaign trial runs.  The injected timings get their own
+geomeans, since a kernel that is fast only without an injector speeds
+up no campaign.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_backends.py
@@ -42,11 +48,18 @@ from repro.runtime.compile import (  # noqa: E402
     clear_kernel_cache,
     compile_program,
 )
+from repro.runtime.faults import (  # noqa: E402
+    injector_spec_for_model,
+    make_injector,
+)
 from repro.runtime.interpreter import run_program  # noqa: E402
 
 OPTIMIZED = InstrumentationOptions(
     index_set_splitting=True, hoist_inspectors=True
 )
+
+#: Seed of the ``random_cell`` injector every injected run attaches.
+INJECTOR_SEED = 20140609
 
 
 def _copy_values(values: dict) -> dict:
@@ -74,30 +87,62 @@ def bench_one(
         kernels[level] = compile_program(program, opt_level=level)
         compile_s[level] = time.perf_counter() - start
 
-    interp_s = float("inf")
+    interp_s = injected_interp_s = float("inf")
     level_s = {level: float("inf") for level in opt_levels}
+    injected_s = {level: float("inf") for level in opt_levels}
     reference = None
+    spec = None
     for _ in range(repeats):
         start = time.perf_counter()
         ri = run_program(program, params, initial_values=_copy_values(values))
         interp_s = min(interp_s, time.perf_counter() - start)
         if reference is None:
             reference = ri
+            spec = injector_spec_for_model(
+                "random_cell",
+                seed=INJECTOR_SEED,
+                expected_loads=max(1, ri.memory.load_count),
+            )
+        start = time.perf_counter()
+        injected = run_program(
+            program,
+            params,
+            initial_values=_copy_values(values),
+            injector=make_injector(spec),
+            wild_reads=True,
+        )
+        injected_interp_s = min(
+            injected_interp_s, time.perf_counter() - start
+        )
         for level in opt_levels:
             start = time.perf_counter()
             rc = kernels[level].execute(
                 params, initial_values=_copy_values(values)
             )
             level_s[level] = min(level_s[level], time.perf_counter() - start)
+            start = time.perf_counter()
+            rj = kernels[level].execute(
+                params,
+                initial_values=_copy_values(values),
+                injector=make_injector(spec),
+                wild_reads=True,
+            )
+            injected_s[level] = min(
+                injected_s[level], time.perf_counter() - start
+            )
             # The timing loop doubles as a sanity check on the
             # bit-identity contract (the differential suite is the
             # authoritative test).
-            assert (
-                ri.counts == rc.counts
-            ), f"{name} L{level}: op counts diverge"
-            assert (
-                ri.checksums.sums == rc.checksums.sums
-            ), f"{name} L{level}: checksums diverge"
+            for label, a, b in (("", ri, rc), (" injected", injected, rj)):
+                assert (
+                    a.counts == b.counts
+                ), f"{name} L{level}{label}: op counts diverge"
+                assert (
+                    a.checksums.sums == b.checksums.sums
+                ), f"{name} L{level}{label}: checksums diverge"
+                assert (
+                    a.memory.snapshot() == b.memory.snapshot()
+                ), f"{name} L{level}{label}: memory diverges"
     best = max(opt_levels)
     base = min(opt_levels)
 
@@ -109,16 +154,25 @@ def bench_one(
         "compiled_s": level_s[best],
         "compile_s": compile_s[best],
         "speedup": interp_s / level_s[best],
+        "injected_interp_s": injected_interp_s,
         "levels": {
             str(level): {
                 "run_s": level_s[level],
                 "compile_s": compile_s[level],
                 "speedup_vs_interp": interp_s / level_s[level],
                 "speedup_vs_l0": level_s[base] / level_s[level],
+                "injected_run_s": injected_s[level],
+                "injected_speedup_vs_interp": (
+                    injected_interp_s / injected_s[level]
+                ),
+                "injected_speedup_vs_l0": (
+                    injected_s[base] / injected_s[level]
+                ),
             }
             for level in opt_levels
         },
         "opt_speedup": level_s[base] / level_s[best],
+        "injected_opt_speedup": injected_s[base] / injected_s[best],
         "statements": reference.statements_executed,
     }
 
@@ -190,13 +244,15 @@ def main(argv: list[str] | None = None) -> int:
         rows.append(row)
         per_level = " ".join(
             f"L{level}={row['levels'][str(level)]['run_s']:.3f}s"
+            f"/{row['levels'][str(level)]['injected_run_s']:.3f}s"
             for level in opt_levels
         )
         print(
             f"{row['benchmark']:<10} interp={row['interp_s']:8.3f}s "
             f"{per_level} "
             f"speedup={row['speedup']:6.2f}x "
-            f"opt={row['opt_speedup']:5.2f}x"
+            f"opt={row['opt_speedup']:5.2f}x "
+            f"injected opt={row['injected_opt_speedup']:5.2f}x"
         )
 
     summary = {
@@ -216,6 +272,26 @@ def main(argv: list[str] | None = None) -> int:
             )
             for level in opt_levels
         },
+        "geomean_injected_speedup": geomean(
+            [
+                row["levels"][str(max(opt_levels))][
+                    "injected_speedup_vs_interp"
+                ]
+                for row in rows
+            ]
+        ),
+        "geomean_injected_opt_speedup": geomean(
+            [row["injected_opt_speedup"] for row in rows]
+        ),
+        "geomean_injected_by_level": {
+            str(level): geomean(
+                [
+                    row["levels"][str(level)]["injected_speedup_vs_l0"]
+                    for row in rows
+                ]
+            )
+            for level in opt_levels
+        },
         "total_interp_s": sum(row["interp_s"] for row in rows),
         "total_compiled_s": sum(row["compiled_s"] for row in rows),
     }
@@ -225,7 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{'geomean':<10} speedup={summary['geomean_speedup']:6.2f}x  "
         f"total={summary['total_speedup']:.2f}x  "
-        f"opt={summary['geomean_opt_speedup']:.2f}x"
+        f"opt={summary['geomean_opt_speedup']:.2f}x  "
+        f"injected speedup={summary['geomean_injected_speedup']:.2f}x "
+        f"opt={summary['geomean_injected_opt_speedup']:.2f}x"
     )
 
     payload = {"benchmarks": rows, "summary": summary}

@@ -4,13 +4,15 @@ The emitter lowers one (possibly instrumented) program to the source of
 a single Python function ``_kernel(_rt)`` whose observable behaviour is
 **bit-identical** to :class:`~repro.runtime.interpreter.Interpreter`:
 
-* every load and store goes through the same :class:`Memory` methods in
-  the same order, so fault injectors trigger on exactly the same access
-  (the injector's trigger is a load-event index — ordering is part of
-  the contract, not an implementation detail); this covers the
-  address-redirect hooks too: a redirected access lands on the same
-  cell under either backend, and the fused ``_lba``/``_sba`` calls
-  return the **intended** (architectural) address — exactly what the
+* loads and stores happen in the interpreter's order, and every
+  *watched* access goes through the same :class:`Memory` methods with
+  ``load_count``/``store_count`` equal to the interpreter's, so fault
+  injectors trigger on exactly the same access (the injector's trigger
+  is a load-event index — ordering is part of the contract, not an
+  implementation detail); this covers the address-redirect hooks too:
+  a redirected access lands on the same cell under either backend,
+  and the fused ``load_bits_addr``/``store_bits_addr`` calls return
+  the **intended** (architectural) address — exactly what the
   interpreter's separate ``address_of`` on the intended indices
   yields — so checksum streams stay bit-identical under
   address-generation faults;
@@ -59,12 +61,15 @@ On top of that baseline the emitter runs the optimization pipeline of
   every bundle-cache hit/miss at compile time, the runtime dict
   disappears and cache hits re-count their index arithmetic without
   touching memory, exactly as the interpreter's dict hit would.
-* **inlined memory** (``inline_mem``) — a second kernel body with
-  bounds checks and word-array accesses inlined, used only when no
-  fault injector is attached (the selection happens at run time in
-  :class:`~repro.runtime.compile.CompiledKernel`); out-of-bounds
-  accesses fall back to the :class:`Memory` methods so wild-read and
-  strict-mode semantics stay identical.
+* **inlined memory** (level 2) — in-bounds loads and stores of rank
+  ≤ 2 regions index the region's word list directly, counting in the
+  locals ``_lc``/``_sc``, while the access ordinal is below the
+  attached injector's :meth:`~repro.runtime.faults.FaultInjector.watch`
+  answer (``_nl``/``_ns``; "never" without an injector).  A watched or
+  out-of-bounds access takes ``_xld``/``_xst``: the counters are synced
+  into :class:`Memory`, its method runs every hook, redirect and
+  wild-access rule, and the counters and watch answer are read back.
+  Levels 0 and 1 call the :class:`Memory` methods on every access.
 
 Programs using features the emitter does not model (``register_budget``
 spill simulation is handled one level up, in
@@ -188,9 +193,13 @@ class _Emitter:
         # LICM frame stack (innermost last).
         self.frames: list[_Frame] = []
         self._hoist_n = 0
-        # name -> (local index, rank) for inlined-memory regions.
+        # Level 2 inlines memory: name -> (local index, rank) of the
+        # regions whose in-bounds, unwatched accesses index the word
+        # list directly.  Every other access of an inlining kernel
+        # takes the synced ``_xld``/``_xst`` Memory path.
+        self.inline = self.opt.level >= 2
         self._region_local: dict[str, tuple[int, int]] = {}
-        if self.opt.inline_mem:
+        if self.inline:
             decls = list(program.arrays) + list(program.scalars)
             for i, decl in enumerate(decls):
                 rank = len(getattr(decl, "dims", ()) or ())
@@ -392,9 +401,6 @@ class _Emitter:
             return "()"
         return "(" + ", ".join(atoms) + ",)"
 
-    def _index_tuple(self, indices, cache) -> str:
-        return self._tuple_atom(self._index_atoms(indices, cache))
-
     def _memoizable(self, ref) -> bool:
         """Re-evaluating this ref's indices has no observable effect.
 
@@ -420,57 +426,43 @@ class _Emitter:
             ]:
                 del self._memo[ref]
 
-    # -- raw memory access (inlined-memory fast path) ---------------------
+    # -- raw memory access -------------------------------------------------
     def _emit_raw_load(
         self, name: str, idx_atoms: list[str], need_addr: bool
     ) -> tuple[str, str | None]:
         """Emit one load event; returns ``(bits_atom, addr_atom)``.
 
-        Memory-side load counting is handled here (inline arm bumps the
-        local ``_lc``; the method fallback self-counts) — OpCounts'
+        Memory-side load counting is handled here (the inline arm bumps
+        the local ``_lc``; the Memory path counts itself) — OpCounts'
         ``loads`` bucket is the caller's job.
         """
-        info = self._region_local.get(name)
-        idx = self._tuple_atom(idx_atoms)
-        if info is None or info[1] != len(idx_atoms):
-            bits = self.tmp()
-            if need_addr:
-                addr = self.tmp()
-                self.out(f"{bits}, {addr} = _lba({name!r}, {idx})")
-                return bits, addr
-            self.out(f"{bits} = _lb({name!r}, {idx})")
-            return bits, None
-        ri, rank = info
         bits = self.tmp()
-        if rank == 0:
-            self.out(f"_lc += 1; {bits} = _w{ri}[0]")
-            return bits, (f"_b{ri}" if need_addr else None)
-        atoms = [self._simple(a) for a in idx_atoms]
-        idx = self._tuple_atom(atoms)
         addr = self.tmp() if need_addr else None
-        if rank == 1:
-            o = atoms[0]
-            self.out(f"if 0 <= {o} < _d{ri}_0:")
-            self.out(f"    _lc += 1; {bits} = _w{ri}[{o}]")
+        if not self.inline:
+            idx = self._tuple_atom(idx_atoms)
             if need_addr:
-                self.out(f"    {addr} = _b{ri} + {o} * 8")
-        else:
-            i, j = atoms
-            self.out(
-                f"if 0 <= {i} < _d{ri}_0 and 0 <= {j} < _d{ri}_1:"
-            )
-            if need_addr:
-                off = self.tmp()
-                self.out(f"    {off} = {i} * _d{ri}_1 + {j}")
-                self.out(f"    _lc += 1; {bits} = _w{ri}[{off}]")
-                self.out(f"    {addr} = _b{ri} + {off} * 8")
+                self.out(f"{bits}, {addr} = _lba({name!r}, {idx})")
             else:
-                self.out(f"    _lc += 1; {bits} = _w{ri}[{i} * _d{ri}_1 + {j}]")
+                self.out(f"{bits} = _lb({name!r}, {idx})")
+            return bits, addr
+        info = self._inline_region(name, idx_atoms)
+        if info is None:
+            self.out(self._watched_load(name, idx_atoms, bits, addr))
+            return bits, addr
+        ri, rank = info
+        atoms = [self._simple(a) for a in idx_atoms]
+        off = self._open_inline_arm(ri, atoms, "_lc < _nl")
+        self.out(f"    _lc += 1; {bits} = _w{ri}[{off}]")
+        if rank == 0:
+            # A scalar's address is its base on either arm.
+            addr = f"_b{ri}" if need_addr else None
+        elif need_addr:
+            self.out(f"    {addr} = _b{ri} + {off} * 8")
         self.out("else:")
-        if need_addr:
-            self.out(f"    {bits}, {addr} = _lba({name!r}, {idx})")
-        else:
-            self.out(f"    {bits} = _lb({name!r}, {idx})")
+        self.out(
+            "    "
+            + self._watched_load(name, atoms, bits, addr if rank else None)
+        )
         return bits, addr
 
     def _emit_raw_store(
@@ -478,47 +470,102 @@ class _Emitter:
     ) -> str | None:
         """Emit one store event (``bits_atom`` must be pre-masked);
         returns the address atom when requested."""
-        info = self._region_local.get(name)
-        idx = self._tuple_atom(idx_atoms)
-        if info is None or info[1] != len(idx_atoms):
-            if need_addr:
-                addr = self.tmp()
-                self.out(f"{addr} = _sba({name!r}, {idx}, {bits_atom})")
-                return addr
-            self.out(f"_sb({name!r}, {idx}, {bits_atom})")
-            return None
-        ri, rank = info
-        if rank == 0:
-            self.out(f"_sc += 1; _w{ri}[0] = {bits_atom}; _R{ri}.version += 1")
-            return f"_b{ri}" if need_addr else None
-        atoms = [self._simple(a) for a in idx_atoms]
-        idx = self._tuple_atom(atoms)
         addr = self.tmp() if need_addr else None
-        if rank == 1:
-            o = atoms[0]
-            self.out(f"if 0 <= {o} < _d{ri}_0:")
-            self.out(
-                f"    _sc += 1; _w{ri}[{o}] = {bits_atom}; _R{ri}.version += 1"
-            )
+        if not self.inline:
+            idx = self._tuple_atom(idx_atoms)
             if need_addr:
-                self.out(f"    {addr} = _b{ri} + {o} * 8")
-        else:
-            i, j = atoms
-            off = self.tmp()
-            self.out(f"if 0 <= {i} < _d{ri}_0 and 0 <= {j} < _d{ri}_1:")
-            self.out(f"    {off} = {i} * _d{ri}_1 + {j}")
-            self.out(
-                f"    _sc += 1; _w{ri}[{off}] = {bits_atom}; "
-                f"_R{ri}.version += 1"
-            )
-            if need_addr:
-                self.out(f"    {addr} = _b{ri} + {off} * 8")
+                self.out(f"{addr} = _sba({name!r}, {idx}, {bits_atom})")
+            else:
+                self.out(f"_sb({name!r}, {idx}, {bits_atom})")
+            return addr
+        info = self._inline_region(name, idx_atoms)
+        if info is None:
+            self.out(self._watched_store(name, idx_atoms, bits_atom, addr))
+            return addr
+        ri, rank = info
+        atoms = [self._simple(a) for a in idx_atoms]
+        off = self._open_inline_arm(ri, atoms, "_sc < _ns")
+        self.out(
+            f"    _sc += 1; _w{ri}[{off}] = {bits_atom}; _R{ri}.version += 1"
+        )
+        if rank == 0:
+            addr = f"_b{ri}" if need_addr else None
+        elif need_addr:
+            self.out(f"    {addr} = _b{ri} + {off} * 8")
         self.out("else:")
-        if need_addr:
-            self.out(f"    {addr} = _sba({name!r}, {idx}, {bits_atom})")
-        else:
-            self.out(f"    _sb({name!r}, {idx}, {bits_atom})")
+        self.out(
+            "    "
+            + self._watched_store(
+                name, atoms, bits_atom, addr if rank else None
+            )
+        )
         return addr
+
+    def _inline_region(
+        self, name: str, idx_atoms: list[str]
+    ) -> tuple[int, int] | None:
+        """``(local index, rank)`` when this access has an inline arm."""
+        info = self._region_local.get(name)
+        if info is None or info[1] != len(idx_atoms):
+            return None
+        return info
+
+    def _open_inline_arm(self, ri: int, atoms: list[str], test: str) -> str:
+        """Emit ``if <in bounds> and <test>:`` for one access of region
+        ``ri`` (plus the rank-2 offset line); returns the word offset."""
+        if not atoms:
+            self.out(f"if {test}:")
+            return "0"
+        if len(atoms) == 1:
+            self.out(f"if 0 <= {atoms[0]} < _d{ri}_0 and {test}:")
+            return atoms[0]
+        i, j = atoms
+        self.out(
+            f"if 0 <= {i} < _d{ri}_0 and 0 <= {j} < _d{ri}_1 and {test}:"
+        )
+        off = self.tmp()
+        self.out(f"    {off} = {i} * _d{ri}_1 + {j}")
+        return off
+
+    def _watched_load(
+        self, name: str, atoms: list[str], bits: str, addr: str | None
+    ) -> str:
+        """The Memory path of an inlining kernel: counters synced in and
+        out, hooks run, the watch answer re-read."""
+        return (
+            f"{bits}, {addr or '_'}, _lc, _sc, _nl, _ns = "
+            f"_xld(_mem, {name!r}, {self._tuple_atom(atoms)}, _lc, _sc)"
+        )
+
+    def _watched_store(
+        self, name: str, atoms: list[str], bits: str, addr: str | None
+    ) -> str:
+        return (
+            f"{addr or '_'}, _lc, _sc, _nl, _ns = _xst(_mem, {name!r}, "
+            f"{self._tuple_atom(atoms)}, {bits}, _lc, _sc)"
+        )
+
+    def _load_counter(self, name: str, idx_atoms: list[str]) -> str:
+        """One shadow-counter load with ``Memory.load``'s typed
+        semantics; returns the int value atom."""
+        elem_type = self._elem_type(name)
+        bits, _ = self._emit_raw_load(name, idx_atoms, need_addr=False)
+        value = self._decode(bits, elem_type)
+        cur = self.tmp()
+        self.out(f"{cur} = {value if elem_type == 'i64' else f'int({value})'}")
+        return cur
+
+    def _store_counter(
+        self, name: str, idx_atoms: list[str], value_atom: str
+    ) -> None:
+        """One shadow-counter store of an int with ``Memory.store``'s
+        typed semantics."""
+        bits = self.tmp()
+        self.out(
+            f"{bits} = "
+            f"{self._encode(value_atom, 'int', self._elem_type(name))}"
+        )
+        self._emit_raw_store(name, idx_atoms, bits, need_addr=False)
 
     # -- bundle cache planning --------------------------------------------
     def _scan_reads(self, expr, conditional: bool, reads: list) -> None:
@@ -1134,9 +1181,8 @@ class _Emitter:
                 raise CompileError(
                     f"while counter {stmt.counter!r} is not a scalar"
                 )
-            cur = self.tmp()
-            self.out(f"{cur} = _mload({stmt.counter!r}, ())")
-            self.out(f"_mstore({stmt.counter!r}, (), int({cur}) + 1)")
+            cur = self._load_counter(stmt.counter, [])
+            self._store_counter(stmt.counter, [], f"{cur} + 1")
             self.count("loads")
             self.count("stores")
             self.count("int_ops")
@@ -1268,19 +1314,21 @@ class _Emitter:
         self.out("else:")
         self.out(f"    _csadd({which!r}, {bits}, {count}, {address})")
 
-    def _counter_location(self, ref, cache) -> tuple[str, str]:
-        """(region name, index-tuple atom) of a shadow counter ref."""
-        if isinstance(ref, ArrayRef):
-            return ref.array, self._index_tuple(ref.indices, cache)
-        return ref.name, "()"
+    def _counter_location(self, ref, cache) -> tuple[str, list[str]]:
+        """(region name, index atoms) of a shadow counter ref."""
+        if not isinstance(ref, ArrayRef):
+            return ref.name, []
+        # Named once for the counter's load and its store.
+        return ref.array, [
+            self._simple(a) for a in self._index_atoms(ref.indices, cache)
+        ]
 
     def _emit_bump_counter(self, ref, cache, amount_atom: str) -> None:
         name, loc = self._counter_location(ref, cache)
         if name not in self.array_types and name not in self.scalar_types:
             raise CompileError(f"counter region {name!r} not declared")
-        cur = self.tmp()
-        self.out(f"{cur} = int(_mload({name!r}, {loc}))")
-        self.out(f"_mstore({name!r}, {loc}, {cur} + {amount_atom})")
+        cur = self._load_counter(name, loc)
+        self._store_counter(name, loc, f"{cur} + {amount_atom}")
         self.count("loads")
         self.count("stores")
         self.count("int_ops")
@@ -1402,8 +1450,7 @@ class _Emitter:
         name, loc = self._counter_location(adjust.counter, "_bc")
         if name not in self.array_types and name not in self.scalar_types:
             raise CompileError(f"counter region {name!r} not declared")
-        cv = self.tmp()
-        self.out(f"{cv} = int(_mload({name!r}, {loc}))")
+        cv = self._load_counter(name, loc)
         self.count("loads")
         self.count("counter_ops")
         self._emit_csadd(
@@ -1412,7 +1459,7 @@ class _Emitter:
         self._emit_csadd(adjust.e_use_checksum, obits, "1", oaddr)
         self.count_channels(2)
         name2, loc2 = self._counter_location(adjust.counter, "_bc")
-        self.out(f"_mstore({name2!r}, {loc2}, 0)")
+        self._store_counter(name2, loc2, "0")
         self.count("stores")
 
     def _emit_checksum_add(self, stmt: ChecksumAdd) -> None:
@@ -1491,16 +1538,7 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     em = _Emitter(program, opt)
     opt = em.opt
     em.out("_mem = _rt.memory")
-    em.out("_lb = _mem.load_bits")
-    em.out("_lba = _mem.load_bits_addr")
-    em.out("_sb = _mem.store_bits")
-    em.out("_sba = _mem.store_bits_addr")
-    em.out("_mload = _mem.load")
-    em.out("_mstore = _mem.store")
-    if opt.static_cache:
-        em.out("_adr = _mem.address_of")
-    if opt.inline_mem:
-        decls = list(program.arrays) + list(program.scalars)
+    if em.inline:
         for name, (ri, rank) in em._region_local.items():
             em.out(f"_R{ri} = _mem._regions[{name!r}]")
             em.out(f"_w{ri} = _R{ri}.words")
@@ -1509,8 +1547,18 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
                 em.out(f"(_d{ri}_0,) = _R{ri}.shape")
             elif rank == 2:
                 em.out(f"_d{ri}_0, _d{ri}_1 = _R{ri}.shape")
-        em.out("_lc = 0")
-        em.out("_sc = 0")
+        # Absolute access counters, live in locals; ``Memory`` holds
+        # them only around a watched access (see ``_xld``/``_xst``).
+        em.out("_lc = _mem.load_count")
+        em.out("_sc = _mem.store_count")
+        em.out("_nl, _ns = _watch(_mem)")
+    else:
+        em.out("_lb = _mem.load_bits")
+        em.out("_lba = _mem.load_bits_addr")
+        em.out("_sb = _mem.store_bits")
+        em.out("_sba = _mem.store_bits_addr")
+    if opt.static_cache:
+        em.out("_adr = _mem.address_of")
     em.out("_cs = _rt.checksums")
     em.out("_csadd = _cs.add")
     em.out("_verify = _cs.verify")
@@ -1545,9 +1593,11 @@ def generate_source(program: Program, opt: OptConfig | None = None) -> str:
     em.depth -= 1
     em.out("finally:")
     em.depth += 1
-    if opt.inline_mem:
-        em.out("_mem.load_count += _lc")
-        em.out("_mem.store_count += _sc")
+    if em.inline:
+        # ``Memory`` is ahead of the locals only when an exception left
+        # a watched access after it counted itself.
+        em.out("_mem.load_count = max(_lc, _mem.load_count)")
+        em.out("_mem.store_count = max(_sc, _mem.store_count)")
     em.out("_c = _rt.counts")
     for counter in _COUNTERS:
         em.out(f"_c.{counter} += _n_{counter}")

@@ -11,7 +11,10 @@ Bit-identity contract: a kernel run and an interpreter run of the same
 program observe the same memory access sequence (fault injectors fire
 on the same load), produce equal :class:`ExecutionResult` fields, and
 raise the same exceptions (step budget, division by zero, out-of-bounds
-in strict mode).  ``tests/runtime/test_compile_differential.py`` pins
+in strict mode).  At level 2 only the accesses the attached injector
+watches (and out-of-bounds ones) call :class:`Memory`; the rest run
+inline, and ``_watch``/``_xld``/``_xst`` below are the kernel's side of
+that protocol.  ``tests/runtime/test_compile_differential.py`` pins
 this for every bundled benchmark.
 
 Fallback: programs using constructs the emitter cannot lower raise
@@ -39,6 +42,7 @@ from repro.runtime.codegen import (
 )
 from repro.runtime.opt import DEFAULT_OPT_LEVEL, OPT_LEVELS, config_for_level
 from repro.runtime.costmodel import OpCounts
+from repro.runtime.faults.base import watch_of
 from repro.runtime.interpreter import (
     ExecutionResult,
     InterpreterError,
@@ -155,6 +159,41 @@ def _rexp(value):
         return math.inf
 
 
+def _watch(memory):
+    """The inline budget of a level-2 kernel: a load with ``_lc < _nl``
+    (a store with ``_sc < _ns``) runs inline, since no hook can act on
+    its ordinal ``_lc + 1``."""
+    next_load, next_store = watch_of(memory.injector, memory)
+    return next_load - 1, next_store - 1
+
+
+def _xld(memory, name, indices, lc, sc):
+    """A load a level-2 kernel does not run inline (watched, out of
+    bounds, or of a rank > 2 region): sync the kernel's counters into
+    ``memory``, take the full ``Memory`` path, and hand back the word,
+    its intended address, the counters and the new watch answer."""
+    memory.load_count = lc
+    memory.store_count = sc
+    bits, address = memory.load_bits_addr(name, indices)
+    next_load, next_store = _watch(memory)
+    return (
+        bits, address, memory.load_count, memory.store_count,
+        next_load, next_store,
+    )
+
+
+def _xst(memory, name, indices, bits, lc, sc):
+    """The store counterpart of :func:`_xld`."""
+    memory.load_count = lc
+    memory.store_count = sc
+    address = memory.store_bits_addr(name, indices, bits)
+    next_load, next_store = _watch(memory)
+    return (
+        address, memory.load_count, memory.store_count,
+        next_load, next_store,
+    )
+
+
 def _encdyn(value):
     return encode_value(value, "i64" if isinstance(value, int) else "f64")
 
@@ -170,6 +209,9 @@ _BASE_NAMESPACE = {
     "_rsqrt": _rsqrt,
     "_rexp": _rexp,
     "_encdyn": _encdyn,
+    "_watch": _watch,
+    "_xld": _xld,
+    "_xst": _xst,
     "_sin": math.sin,
     "_cos": math.cos,
     "_floor": math.floor,
@@ -196,10 +238,6 @@ class CompiledKernel:
     #: Batch shape the kernel was compiled for (``None`` = single-trial;
     #: a cache-key discriminator for the batched campaign runner).
     batch_shape: tuple[int, ...] | None = None
-    #: Level ≥ 2 only: the inlined-memory fast entry, selected at run
-    #: time when no fault injector is attached to the memory image.
-    fast_source: str | None = None
-    fast_entry: Callable[[_RuntimeContext], None] | None = None
 
     def execute(
         self,
@@ -243,13 +281,7 @@ class CompiledKernel:
             max_steps=max_steps,
             halt_on_mismatch=halt_on_mismatch,
         )
-        # The inlined-memory entry bypasses the injector observation
-        # points, so it only ever runs on injector-free memory (golden
-        # runs, benchmarks, batched-trial golden replays).
-        entry = self.entry
-        if self.fast_entry is not None and memory.injector is None:
-            entry = self.fast_entry
-        entry(rt)
+        self.entry(rt)
         return ExecutionResult(
             checksums=rt.checksums,
             mismatches=rt.mismatches,
@@ -275,6 +307,12 @@ def ir_digest(program: Program) -> str:
 #: level-0 and a level-2 kernel of the same program must never alias.
 KERNEL_CACHE_LIMIT = 128
 
+#: Version of the persisted kernel payload.  A payload of any other
+#: version (format 1 had no ``format`` key and carried a second,
+#: injector-free level-2 body) decodes as a miss and is recompiled;
+#: its sources are never ``exec``'d.
+KERNEL_PAYLOAD_FORMAT = 2
+
 
 def _assemble_kernel(
     program: Program,
@@ -283,7 +321,6 @@ def _assemble_kernel(
     batch_shape: tuple[int, ...] | None,
     source: str,
     checkpoint_source: str,
-    fast_source: str | None,
 ) -> CompiledKernel:
     """``exec`` already-generated sources into a kernel.
 
@@ -303,17 +340,6 @@ def _assemble_kernel(
         ),
         namespace,
     )
-    fast_entry = None
-    if fast_source is not None:
-        # Separate namespace: both sources define ``_kernel``.
-        fast_namespace = dict(_BASE_NAMESPACE)
-        exec(  # noqa: S102 - same closed-IR provenance
-            compile(
-                fast_source, f"<compiled-fast {program.name}>", "exec"
-            ),
-            fast_namespace,
-        )
-        fast_entry = fast_namespace["_kernel"]
     return CompiledKernel(
         program=program,
         digest=digest,
@@ -324,8 +350,6 @@ def _assemble_kernel(
         restore_entry=namespace["_restore"],
         opt_level=level,
         batch_shape=batch_shape,
-        fast_source=fast_source,
-        fast_entry=fast_entry,
     )
 
 
@@ -335,16 +359,13 @@ def _build_kernel(
     level: int,
     batch_shape: tuple[int, ...] | None,
 ) -> CompiledKernel:
-    opt = config_for_level(level)
-    source = generate_source(program, opt)
-    checkpoint_source = generate_checkpoint_source(program)
-    fast_source = None
-    if level >= 2:
-        fast_opt = config_for_level(level, inline_mem=True)
-        fast_source = generate_source(program, fast_opt)
     return _assemble_kernel(
-        program, digest, level, batch_shape, source, checkpoint_source,
-        fast_source,
+        program,
+        digest,
+        level,
+        batch_shape,
+        generate_source(program, config_for_level(level)),
+        generate_checkpoint_source(program),
     )
 
 
@@ -355,13 +376,13 @@ def _kernel_encode(entry):
         return {"kind": "error", "message": str(entry)}
     return {
         "kind": "kernel",
+        "format": KERNEL_PAYLOAD_FORMAT,
         "program": entry.program,
         "digest": entry.digest,
         "level": entry.opt_level,
         "batch_shape": entry.batch_shape,
         "source": entry.source,
         "checkpoint_source": entry.checkpoint_source,
-        "fast_source": entry.fast_source,
     }
 
 
@@ -370,7 +391,10 @@ def _kernel_decode(payload):
         return None
     if payload.get("kind") == "error":
         return CompileError(payload.get("message", "cached compile failure"))
-    if payload.get("kind") != "kernel":
+    if (
+        payload.get("kind") != "kernel"
+        or payload.get("format") != KERNEL_PAYLOAD_FORMAT
+    ):
         return None
     return _assemble_kernel(
         payload["program"],
@@ -379,7 +403,6 @@ def _kernel_decode(payload):
         payload["batch_shape"],
         payload["source"],
         payload["checkpoint_source"],
-        payload["fast_source"],
     )
 
 
@@ -404,8 +427,8 @@ def compile_program(
     """Compile (or fetch from the cache) a kernel for ``program``.
 
     ``opt_level`` selects the optimization pipeline (default
-    :data:`DEFAULT_OPT_LEVEL`); at level ≥ 2 the kernel carries a second
-    inlined-memory entry used only on injector-free runs.  Raises
+    :data:`DEFAULT_OPT_LEVEL`); a level-2 kernel inlines every memory
+    access its injector does not watch.  Raises
     :class:`CompileError` when the program cannot be lowered; the
     failure itself is cached so repeated attempts stay cheap.
 

@@ -6,8 +6,9 @@ produced a value and a load that consumes it.  This package grows that
 single scenario into a taxonomy (see ``docs/FAULT_MODELS.md``):
 
 * :mod:`~repro.runtime.faults.base` — the injector protocol (value
-  hooks + address-redirect hooks), :class:`InjectionRecord`, and
-  composition;
+  hooks, address-redirect hooks and the ``watch`` answer that tells a
+  compiled kernel which accesses need the hooks),
+  :class:`InjectionRecord`, and composition;
 * :mod:`~repro.runtime.faults.value` — the paper's own class: bits
   flipped in stored words (:class:`ScheduledBitFlip`,
   :class:`RandomCellFlipper`, :class:`BurstCorruption`);
@@ -27,10 +28,13 @@ re-exported here unchanged.
 
 from repro.runtime.faults.addrgen import AddressGenerationFault
 from repro.runtime.faults.base import (
+    EVERY,
+    NEVER,
     FaultInjector,
     InjectionRecord,
     MultiInjector,
     NoFaults,
+    watch_of,
 )
 from repro.runtime.faults.intermittent import IntermittentStuckBit
 from repro.runtime.faults.spec import (
@@ -50,6 +54,7 @@ from repro.runtime.faults.value import (
 __all__ = [
     "AddressGenerationFault",
     "BurstCorruption",
+    "EVERY",
     "FAULT_MODELS",
     "FaultInjector",
     "INJECTOR_KINDS",
@@ -57,10 +62,12 @@ __all__ = [
     "InjectorSpec",
     "IntermittentStuckBit",
     "MultiInjector",
+    "NEVER",
     "NoFaults",
     "RandomCellFlipper",
     "ScheduledBitFlip",
     "flip_random_bits_in_words",
     "injector_spec_for_model",
     "make_injector",
+    "watch_of",
 ]

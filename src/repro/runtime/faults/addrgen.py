@@ -28,6 +28,7 @@ import random
 from typing import Iterable
 
 from repro.runtime.faults.base import (
+    NEVER,
     FaultInjector,
     InjectionRecord,
     cell_at,
@@ -76,6 +77,15 @@ class AddressGenerationFault(FaultInjector):
     @property
     def injected(self) -> bool:
         return self.record is not None
+
+    def watch(self, memory):
+        # Once the trigger has passed, every access of the mode's axis
+        # stays watched until one lands on a targetable array cell.
+        if self.record is not None or self.no_targets:
+            return NEVER, NEVER
+        if self.mode == "load":
+            return self.trigger, NEVER
+        return NEVER, self.trigger
 
     def _targetable(self, memory, name: str) -> bool:
         if self.target_arrays is not None:

@@ -5,10 +5,17 @@ The paper's fault model (Section 2.2): transient errors strike values
 value and a load that consumes it, while registers and functional units
 are resilient.  :class:`FaultInjector` is the contract every fault
 model implements against the :class:`~repro.runtime.memory.Memory`
-choke point — because *both* backends (interpreter and compiled
-kernels) route every load and store through the same four ``Memory``
-methods, an injector written once behaves bit-identically under either
-backend for free.
+choke point.  Both backends route every *watched* access through the
+same four ``Memory`` methods, with ``Memory.load_count`` /
+``store_count`` equal to the interpreter's whenever a hook runs, so an
+injector written once behaves bit-identically under either backend.
+
+Which accesses are watched is the injector's answer to
+:meth:`FaultInjector.watch`: the interpreter consults the hooks on
+every access, while a level-2 compiled kernel runs accesses below the
+answer inline and calls ``Memory`` (hence the hooks) only from there
+on.  The base class answers "every access", so an injector that does
+not override ``watch`` sees exactly the interpreter's hook calls.
 
 Two hook families exist:
 
@@ -35,8 +42,14 @@ redirected access actually landed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+#: :meth:`FaultInjector.watch` answers: an ordinal no run reaches, and
+#: one every access has already reached ("consult me on every access").
+NEVER = sys.maxsize
+EVERY = 0
 
 
 class FaultInjector:
@@ -79,12 +92,43 @@ class FaultInjector:
         """May replace the index tuple a store writes to (same region)."""
         return None
 
+    def watch(self, memory) -> tuple[int, int]:
+        """``(next_load, next_store)``: the smallest load ordinal and
+        store ordinal (``memory.load_count`` / ``store_count`` as a hook
+        would see them) at which any hook of this injector could return
+        non-``None``, draw from its RNG or change its record.
+
+        Accesses below the answer may skip the hooks entirely, so the
+        answer must hold until the next watched access; it is asked
+        again after every watched access and at the start of every
+        kernel run.  Answering too early is always safe (the hooks
+        then run and return ``None``); answering too late is a
+        divergence from the interpreter.  The default, :data:`EVERY`,
+        keeps every access watched.
+        """
+        return EVERY, EVERY
+
     def describe(self) -> str:
         return type(self).__name__
 
 
 class NoFaults(FaultInjector):
     """Fault-free execution."""
+
+    def watch(self, memory):
+        return NEVER, NEVER
+
+
+def watch_of(injector, memory) -> tuple[int, int]:
+    """:meth:`FaultInjector.watch` for any attached injector: ``None``
+    is never watched, and a duck-typed injector without ``watch`` is
+    watched on every access."""
+    if injector is None:
+        return NEVER, NEVER
+    watch = getattr(injector, "watch", None)
+    if watch is None:
+        return EVERY, EVERY
+    return watch(memory)
 
 
 @dataclass
@@ -198,6 +242,14 @@ class MultiInjector(FaultInjector):
                 result = mutated
                 word = mutated
         return result
+
+    def watch(self, memory):
+        next_load = next_store = NEVER
+        for injector in self.injectors:
+            load, store = watch_of(injector, memory)
+            next_load = min(next_load, load)
+            next_store = min(next_store, store)
+        return next_load, next_store
 
     def redirect_load(self, memory, name, indices):
         for injector in self.injectors:

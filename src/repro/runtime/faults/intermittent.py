@@ -15,6 +15,8 @@ import random
 from typing import Iterable
 
 from repro.runtime.faults.base import (
+    EVERY,
+    NEVER,
     FaultInjector,
     InjectionRecord,
     injectable_targets,
@@ -68,6 +70,17 @@ class IntermittentStuckBit(FaultInjector):
     @property
     def injected(self) -> bool:
         return self.record is not None
+
+    def watch(self, memory):
+        if self.no_targets:
+            return NEVER, NEVER
+        if self.record is None:
+            return self.start, NEVER
+        if memory.load_count <= self._end:
+            # The window is open: every load and store may touch the
+            # defective cell.
+            return EVERY, EVERY
+        return NEVER, NEVER
 
     def _force(self, word: int) -> int:
         if self._value:

@@ -23,6 +23,7 @@ import random
 from typing import Iterable, Sequence
 
 from repro.runtime.faults.base import (
+    NEVER,
     FaultInjector,
     InjectionRecord,
     cell_at,
@@ -52,6 +53,9 @@ class ScheduledBitFlip(FaultInjector):
         self.bit_positions = tuple(bit_positions)
         self.at_load = at_load
         self.fired = False
+
+    def watch(self, memory):
+        return (NEVER if self.fired else self.at_load), NEVER
 
     def before_load(self, memory, name, indices, word):
         if not self.fired and memory.load_count >= self.at_load:
@@ -110,6 +114,11 @@ class RandomCellFlipper(FaultInjector):
         """Whether a fault actually landed (False also when the program
         performed no loads, so the trigger never fired)."""
         return self.record is not None
+
+    def watch(self, memory):
+        if self.record is not None or self.no_targets:
+            return NEVER, NEVER
+        return self.trigger, NEVER
 
     def before_load(self, memory, name, indices, word):
         if (
@@ -178,6 +187,11 @@ class BurstCorruption(FaultInjector):
     @property
     def injected(self) -> bool:
         return self.record is not None
+
+    def watch(self, memory):
+        if self.record is not None or self.no_targets:
+            return NEVER, NEVER
+        return self.trigger, NEVER
 
     def before_load(self, memory, name, indices, word):
         if (

@@ -141,8 +141,10 @@ class Memory:
     """Word-addressed memory with per-access fault hooks.
 
     The optional ``injector`` (see :mod:`repro.runtime.faults`) is
-    consulted on every load and store with the element's address; it
-    may mutate the stored word (modelling corruption at rest) — the
+    consulted on every load and store that reaches these methods — all
+    of the interpreter's, and the ones a level-2 compiled kernel's
+    injector watches (:meth:`~repro.runtime.faults.FaultInjector.watch`);
+    it may mutate the stored word (modelling corruption at rest) — the
     interpreter only ever sees what :meth:`load` returns.
 
     Injectors with :attr:`~repro.runtime.faults.FaultInjector.redirects`

@@ -12,12 +12,13 @@ which passes run during lowering.  Three user-facing levels:
   constant-trip and provably-0/1-trip loop unrolling, and static
   elimination of the per-bundle load cache where affine alias analysis
   proves every hit/miss at compile time.
-* **2** — level 1 plus an inlined-memory fast kernel: a second
-  compiled entry with bounds checks and word array accesses inlined
-  (no :class:`Memory` method calls on the hot path), selected at run
-  time only when no fault injector is attached — injected runs take
-  the level-1 entry, so every injector observation point is preserved
-  verbatim.
+* **2** — level 1 plus inlined memory: loads and stores of rank ≤ 2
+  regions index the region's word list directly (no :class:`Memory`
+  method call) unless the access is out of bounds or the attached
+  fault injector watches its ordinal
+  (:meth:`~repro.runtime.faults.FaultInjector.watch`); those accesses
+  take the ``Memory`` methods with the counters synced, so every
+  injector observation point is preserved.
 
 Every pass is bound by the bit-identity contract spelled out in
 :mod:`repro.runtime.opt.analysis`: identical load/store event order,
@@ -77,9 +78,6 @@ class OptConfig:
     fuse_guards: bool = False
     unroll: bool = False
     static_cache: bool = False
-    #: Emit the inlined-memory fast path (level 2's second entry);
-    #: set per-source by the compiler, not per level.
-    inline_mem: bool = False
 
     def fingerprint(self) -> str:
         """Stable cache-key component (kernel LRU, instrumentation
@@ -87,18 +85,18 @@ class OptConfig:
         return (
             f"opt{self.level}:f{int(self.fold)}l{int(self.licm)}"
             f"g{int(self.fuse_guards)}u{int(self.unroll)}"
-            f"s{int(self.static_cache)}i{int(self.inline_mem)}"
+            f"s{int(self.static_cache)}"
         )
 
 
-def config_for_level(level: int, inline_mem: bool = False) -> OptConfig:
+def config_for_level(level: int) -> OptConfig:
     """The :class:`OptConfig` for a user-facing ``--opt-level``."""
     if level not in OPT_LEVELS:
         raise ValueError(
             f"opt level must be one of {OPT_LEVELS}, got {level!r}"
         )
     if level == 0:
-        return OptConfig(level=0, inline_mem=False)
+        return OptConfig(level=0)
     return OptConfig(
         level=level,
         fold=True,
@@ -106,5 +104,4 @@ def config_for_level(level: int, inline_mem: bool = False) -> OptConfig:
         fuse_guards=True,
         unroll=True,
         static_cache=True,
-        inline_mem=inline_mem and level >= 2,
     )

@@ -207,14 +207,19 @@ class TestKernelCacheKeying:
         with pytest.raises(ValueError):
             compile_program(program, opt_level=7)
 
-    def test_level2_has_fast_entry_level0_does_not(self):
+    def test_level0_and_level2_each_carry_one_entry(self):
         program, _, _ = _build("trisolv")
         clear_kernel_cache()
         k0 = compile_program(program, opt_level=0)
         k2 = compile_program(program, opt_level=2)
-        assert k0.fast_entry is None
-        assert k2.fast_entry is not None
-        assert k2.fast_source != k2.source
+        for kernel in (k0, k2):
+            assert kernel.source.count("def _kernel(") == 1
+            assert callable(kernel.entry)
+        assert k0.source != k2.source
+        # Level 0 stays the method-call reference lowering; level 2
+        # inlines behind the watch guard.
+        assert "_xld(" not in k0.source and "_lba(" in k0.source
+        assert "_xld(" in k2.source and "_lba(" not in k2.source
 
 
 class TestInstrumentCacheKeying:
