@@ -1,11 +1,13 @@
-"""Serviced-campaign throughput: shard dispatcher vs ``--workers N``.
+"""Parallel-campaign throughput: warm disk store vs warm in-process caches.
 
-Runs the same fault-injection campaign three ways — the classic
-process-pool engine (``run_campaign(workers=N)``), a cold serviced run
-against a fresh shared disk store, and a warm serviced run over the
-same store — checks all three are canonical-identical, and reports
-trials/sec plus the warm-run artifact-store hit rate.  Writes
-``BENCH_service.json`` (CI uploads it as an artifact).
+Runs the same fault-injection campaign three ways through the shard
+dispatcher (``run_campaign(workers=N)``): a baseline with warm
+in-process caches (one warmup campaign first, no disk store), a cold
+run against a fresh shared disk store with the in-process caches
+dropped, and a warm run over the same store with the in-process
+caches dropped again.  It checks all three are canonical-identical,
+and reports trials/sec plus the warm-run artifact-store hit rate.
+Writes ``BENCH_service.json`` (CI uploads it as an artifact).
 
 Usage::
 
@@ -29,7 +31,7 @@ from repro.campaign import ProgramCampaignSpec, run_campaign  # noqa: E402
 from repro.campaign.golden import clear_cache as clear_golden  # noqa: E402
 from repro.instrument.cache import clear_cache as clear_instrument  # noqa: E402
 from repro.runtime.compile import clear_kernel_cache  # noqa: E402
-from repro.service import run_service_campaign, set_store_dir  # noqa: E402
+from repro.service import set_store_dir  # noqa: E402
 from repro.service.store import namespace_hit_rate  # noqa: E402
 
 
@@ -46,26 +48,29 @@ def _drop_local_caches() -> None:
 
 
 def bench_spec(spec: ProgramCampaignSpec, workers: int, store: Path) -> dict:
-    # Baseline: the in-process pool engine, steady-state (one warmup
-    # campaign so compilation is not on the clock).
+    # Baseline: warm in-process caches, no disk store.  The driver
+    # prepares the spec itself, because dispatcher workers prepare in
+    # their own processes and leave the driver's caches cold; forked
+    # workers then inherit the warm caches, so no instrumentation,
+    # compile or golden run is on the clock.
     set_store_dir(None)
-    run_campaign(spec, workers=workers)
+    spec.prepare()
     start = time.perf_counter()
     baseline = run_campaign(spec, workers=workers)
     baseline_s = time.perf_counter() - start
 
-    # Cold service: fresh disk store, no in-process artifacts.
+    # Cold store: fresh disk store, no in-process artifacts.
     set_store_dir(store)
     _drop_local_caches()
     start = time.perf_counter()
-    cold = run_service_campaign(spec, workers=workers)
+    cold = run_campaign(spec, workers=workers)
     cold_s = time.perf_counter() - start
 
-    # Warm service: same store, local caches dropped again so every
+    # Warm store: same store, local caches dropped again so every
     # hit is a disk hit against the shared store.
     _drop_local_caches()
     start = time.perf_counter()
-    warm = run_service_campaign(spec, workers=workers)
+    warm = run_campaign(spec, workers=workers)
     warm_s = time.perf_counter() - start
     set_store_dir(None)
 
@@ -121,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=None,
         metavar="X",
-        help="exit 1 when geomean warm-service/baseline throughput < X",
+        help="exit 1 when geomean warm-store/baseline throughput < X",
     )
     args = parser.parse_args(argv)
 
@@ -179,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         and summary["geomean_service_vs_baseline"] < args.fail_below
     ):
         print(
-            f"FAIL: geomean service/baseline throughput "
+            f"FAIL: geomean warm-store/baseline throughput "
             f"{summary['geomean_service_vs_baseline']:.2f}x "
             f"< required {args.fail_below:.2f}x",
             file=sys.stderr,

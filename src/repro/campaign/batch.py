@@ -65,7 +65,7 @@ class BatchContext:
     Construction builds and initializes the shared memory image and
     snapshots its encoded words; :meth:`run` then executes any index
     group against it.  One context amortizes setup across every group
-    of a worker's chunk.
+    of a worker's shards.
     """
 
     def __init__(self, spec, prepared) -> None:

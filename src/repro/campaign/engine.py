@@ -1,11 +1,13 @@
-"""The campaign driver: serial or multiprocessing, always bit-identical.
+"""The campaign driver: one trial loop, in-process or sharded.
 
 Because every trial is self-seeded (:func:`repro.campaign.spec.trial_seed`),
-parallelism is pure fan-out: workers receive the spec once (pool
-initializer) and then only chunks of trial indices.  Results are
-collected unordered and sorted by index, so the record *set* — and
-therefore every aggregate — is identical for any worker count; the
-differential tests in ``tests/campaign/`` pin this contract.
+parallelism is pure fan-out.  ``workers=1`` runs the pending indices in
+this process; ``workers>1`` (or a ``progress`` callback) sends them
+through the shard dispatcher (:func:`repro.service.dispatcher.dispatch`),
+whose forked workers run the same :func:`_execute_trials` loop.  Records
+are sorted by index, so the record *set* — and therefore every
+aggregate — is identical for any worker count; the differential tests
+in ``tests/campaign/`` pin this contract.
 
 Resume: with ``log_path`` set, each finished trial is appended to a
 JSONL log as it completes.  A killed campaign leaves a valid prefix
@@ -17,12 +19,11 @@ a log file alone is enough to finish a campaign.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from repro.campaign.records import (
     LogContents,
@@ -42,26 +43,6 @@ from repro.service.store import (
     store_stats,
 )
 
-# ----------------------------------------------------------------------
-# Worker-side state.  The spec is shipped once via the pool initializer;
-# the prepared context (golden run, data image) is built lazily on the
-# first trial a worker executes and reused for all its later trials.
-# ----------------------------------------------------------------------
-_WORKER_SPEC: CampaignSpec | None = None
-_WORKER_PREPARED = None
-_WORKER_BATCH = None
-_WORKER_COUNTERS = None
-
-
-def _init_worker(spec: CampaignSpec) -> None:
-    global _WORKER_SPEC, _WORKER_PREPARED, _WORKER_BATCH, _WORKER_COUNTERS
-    _WORKER_SPEC = spec
-    _WORKER_PREPARED = None
-    _WORKER_BATCH = None
-    # Snapshot before the lazy prepare so a fork-inherited cache state
-    # is subtracted out and the prepare's own hits/misses are reported.
-    _WORKER_COUNTERS = counters_snapshot()
-
 
 def _batch_size(spec: CampaignSpec) -> int:
     return max(1, int(getattr(spec, "batch", 1)))
@@ -77,9 +58,9 @@ def _batch_groups(indices: Sequence[int], size: int) -> list[list[int]]:
 def _execute_trials(spec, prepared, indices, batch_context=None):
     """Yield the records for ``indices`` (batch-aware).
 
-    The one trial loop shared by the serial path, the pool workers and
-    the service dispatcher's workers — bit-identity across all three
-    is this function being the only way trials run.
+    The one trial loop: the in-process path and every dispatcher
+    worker run trials through it, and bit-identity across worker
+    counts is this function being the only way trials run.
     """
     size = _batch_size(spec)
     if size > 1:
@@ -91,46 +72,6 @@ def _execute_trials(spec, prepared, indices, batch_context=None):
     else:
         for index in indices:
             yield spec.run_trial(index, prepared)
-
-
-def _worker_counters_delta() -> dict:
-    """Counter growth since the last call (or worker init), for the
-    driver to aggregate."""
-    global _WORKER_COUNTERS
-    now = counters_snapshot()
-    delta = counters_delta(now, _WORKER_COUNTERS)
-    _WORKER_COUNTERS = now
-    return delta
-
-
-def _run_chunk(indices: Sequence[int]) -> dict:
-    global _WORKER_PREPARED, _WORKER_BATCH
-    assert _WORKER_SPEC is not None, "worker used before initialization"
-    if _WORKER_PREPARED is None:
-        _WORKER_PREPARED = _WORKER_SPEC.prepare()
-    if _batch_size(_WORKER_SPEC) > 1 and _WORKER_BATCH is None:
-        from repro.campaign.batch import BatchContext
-
-        _WORKER_BATCH = BatchContext(_WORKER_SPEC, _WORKER_PREPARED)
-    records = list(
-        _execute_trials(
-            _WORKER_SPEC, _WORKER_PREPARED, indices, _WORKER_BATCH
-        )
-    )
-    return {"records": records, "counters": _worker_counters_delta()}
-
-
-def _chunked(indices: Sequence[int], workers: int) -> list[list[int]]:
-    """Contiguous chunks, several per worker (load balancing without
-    per-trial IPC overhead)."""
-    if not indices:
-        return []
-    target_chunks = max(workers * 4, 1)
-    chunk_size = max(1, (len(indices) + target_chunks - 1) // target_chunks)
-    return [
-        list(indices[start : start + chunk_size])
-        for start in range(0, len(indices), chunk_size)
-    ]
 
 
 @dataclass
@@ -148,7 +89,7 @@ class CampaignResult:
     golden_cache: dict[str, int] | None = None
     """Golden-run cache counters (hits/misses/evictions/size/limit),
     aggregated across the driving process *and* every worker (workers
-    ship monotone counter deltas back with each chunk/shard)."""
+    ship monotone counter deltas back with each shard)."""
     instrument_cache: dict[str, int] | None = None
     """Instrumentation-cache counters (hits/misses/disk_hits/...),
     aggregated like ``golden_cache`` (see
@@ -165,9 +106,9 @@ class CampaignResult:
     touched — golden, kernel, instrument, ISL memos), aggregated across
     driver and workers."""
     service: dict | None = None
-    """Dispatcher metrics when the campaign ran through
-    :func:`repro.service.run_service_campaign` (shards, reissues,
-    per-shard throughput); ``None`` for plain engine runs."""
+    """Dispatcher metrics when the campaign ran through the shard
+    dispatcher (shards, reissues, per-shard throughput); ``None`` for
+    in-process runs."""
 
     def summary(self) -> CampaignSummary:
         return summarize_counts(self.counts)
@@ -179,14 +120,22 @@ def run_campaign(
     log_path: str | None = None,
     resume: bool = False,
     keep_records: bool = True,
-    mp_context: str | None = None,
+    progress: Callable | None = None,
+    endpoint_factory: Callable | None = None,
 ) -> CampaignResult:
     """Run (or finish) a campaign.
 
-    ``workers=1`` runs in-process; ``workers>1`` fans out over a
-    ``multiprocessing`` pool.  With ``keep_records=False`` only verdict
-    counts are retained in memory (the log, if any, still gets every
-    record) — use this for 10^5-trial table sweeps.
+    ``workers=1`` runs in-process.  ``workers>1``, or a ``progress``
+    callback, runs through the shard dispatcher: forked workers,
+    streamed records, crash-safe shard reissue, and a
+    ``result.service`` block that the log's stats trailer repeats.
+    ``progress`` receives a :class:`~repro.service.ServiceProgress`
+    after every completed or reissued shard; ``endpoint_factory``
+    swaps the worker transport (it must return a fresh, unstarted
+    :class:`~repro.service.WorkerEndpoint`).  With
+    ``keep_records=False`` only verdict counts are retained in memory
+    (the log, if any, still gets every record) — use this for
+    10^5-trial table sweeps.
     """
     if spec.trials < 0:
         raise ValueError("trials must be >= 0")
@@ -208,40 +157,55 @@ def run_campaign(
 
     pending, pruned = _prune_predicted(spec, pending, consume)
 
+    def on_shard(snapshot) -> None:
+        # Flushed per shard, so a killed run loses only shards in flight.
+        if handle is not None:
+            handle.flush()
+        if progress is not None:
+            progress(
+                replace(
+                    snapshot,
+                    counts=dict(counts),
+                    detection_interval=summarize_counts(
+                        counts
+                    ).detection_interval(),
+                )
+            )
+
     worker_totals: dict = {}
+    service = None
     try:
-        if workers <= 1 or len(pending) <= 1:
+        if workers > 1 or progress is not None:
+            from repro.service.dispatcher import dispatch
+
+            worker_totals, service = dispatch(
+                spec,
+                pending,
+                max(1, workers),
+                consume,
+                progress=on_shard,
+                endpoint_factory=endpoint_factory,
+            )
+        else:
             prepared = spec.prepare() if pending else None
             for record in _execute_trials(spec, prepared, pending):
                 consume(record)
-        else:
-            method = mp_context or (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            context = multiprocessing.get_context(method)
-            chunks = _chunked(pending, workers)
-            with context.Pool(
-                processes=min(workers, len(chunks)),
-                initializer=_init_worker,
-                initargs=(spec,),
-            ) as pool:
-                for chunk in pool.imap_unordered(_run_chunk, chunks):
-                    for record in chunk["records"]:
-                        consume(record)
-                    counters_add(worker_totals, chunk["counters"])
-                    if handle is not None:
-                        handle.flush()
+        stats = aggregate_stats(worker_totals, driver_base)
+        if service is not None:
+            stats["service"] = service
         if handle is not None:
-            write_stats(handle, aggregate_stats(worker_totals, driver_base))
+            write_stats(handle, stats)
     finally:
         if handle is not None:
             handle.close()
 
     if keep_records:
         kept.sort(key=lambda record: record.index)
-    return _build_result(
+    from repro.campaign.golden import cache_stats
+    from repro.instrument.cache import cache_stats as instrument_cache_stats
+
+    store = stats["store"]
+    return CampaignResult(
         spec=spec,
         counts=dict(counts),
         records=kept if keep_records else None,
@@ -249,9 +213,11 @@ def run_campaign(
         resumed_trials=len(done),
         log_path=log_path,
         workers=workers,
+        golden_cache=store.get("golden", cache_stats()),
+        instrument_cache=store.get("instrument", instrument_cache_stats()),
         pruned=pruned,
-        worker_totals=worker_totals,
-        driver_base=driver_base,
+        store=store,
+        service=service,
     )
 
 
@@ -276,23 +242,6 @@ def aggregate_stats(
         entry["limit"] = gauges.get("limit", 0)
         store[name] = entry
     return {"store": store}
-
-
-def _build_result(
-    *, worker_totals, driver_base=None, service=None, **kwargs
-) -> CampaignResult:
-    from repro.campaign.golden import cache_stats
-    from repro.instrument.cache import cache_stats as instrument_cache_stats
-
-    stats = aggregate_stats(worker_totals, driver_base)
-    store = stats["store"]
-    return CampaignResult(
-        golden_cache=store.get("golden", cache_stats()),
-        instrument_cache=store.get("instrument", instrument_cache_stats()),
-        store=store,
-        service=service,
-        **kwargs,
-    )
 
 
 def _load_done(

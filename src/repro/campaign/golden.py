@@ -21,7 +21,7 @@ generated source, so the rebuild is an exec, not a codegen run).
 
 Counters route through the store, so ``campaign run``/``report`` can
 show *aggregate* hit/miss numbers merged across worker processes
-instead of silently dropping every worker's private view on pool
+instead of silently dropping every worker's private view on worker
 teardown.  The module-level API is unchanged from the pre-store cache.
 """
 

@@ -486,7 +486,7 @@ class ProgramCampaignSpec:
         if self.instrument:
             # Content-addressed: repeat sweeps over the same program and
             # options skip the instrumenter entirely (and across
-            # processes too when REPRO_INSTRUMENT_CACHE names a
+            # processes too when REPRO_ARTIFACT_STORE names a
             # directory — worker processes inherit the env var).
             from repro.runtime.opt import config_for_level
 

@@ -89,10 +89,8 @@ def cmd_instrument(args) -> int:
         hoist_inspectors=not args.no_hoist,
         localize=args.localize,
     )
-    from repro.instrument.cache import instrument_cached, set_cache_dir
+    from repro.instrument.cache import instrument_cached
 
-    if args.instrument_cache:
-        set_cache_dir(args.instrument_cache)
     instrumented, report = instrument_cached(program, options)
     if args.lint:
         from repro.analysis.lint import has_errors, lint_program
@@ -471,11 +469,9 @@ def _format_store_stats(store: dict) -> str | None:
 def _campaign_env_from_args(args) -> None:
     import os
 
-    if args.instrument_cache:
-        # Via the environment so multiprocessing workers inherit it.
-        os.environ["REPRO_INSTRUMENT_CACHE"] = args.instrument_cache
     if getattr(args, "store", None):
-        # Shared artifact-store directory, likewise worker-inherited.
+        # Shared artifact-store directory, via the environment so
+        # worker processes inherit it.
         os.environ["REPRO_ARTIFACT_STORE"] = args.store
 
 
@@ -505,32 +501,14 @@ def cmd_campaign_run(args) -> int:
 
     _campaign_env_from_args(args)
     spec = _campaign_spec_from_args(args)
-    use_service = getattr(args, "service", False) or getattr(
-        args, "serve", False
-    )
     try:
-        if use_service:
-            from repro.service import run_service_campaign
-
-            result = run_service_campaign(
-                spec,
-                workers=max(1, args.workers),
-                shard_trials=getattr(args, "shard_trials", None),
-                log_path=args.log,
-                resume=args.resume,
-                progress=(
-                    _progress_printer()
-                    if getattr(args, "serve", False)
-                    else None
-                ),
-            )
-        else:
-            result = run_campaign(
-                spec,
-                workers=args.workers,
-                log_path=args.log,
-                resume=args.resume,
-            )
+        result = run_campaign(
+            spec,
+            workers=args.workers,
+            log_path=args.log,
+            resume=args.resume,
+            progress=_progress_printer() if args.serve else None,
+        )
     except (ValueError, RuntimeError) as error:
         raise SystemExit(str(error)) from None
     return _print_campaign_result(result)
@@ -642,9 +620,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=None,
                         help="emit a baseline transform instead of the "
                         "def/use checksum scheme")
-    p_inst.add_argument("--instrument-cache", default=None, metavar="DIR",
-                        help="on-disk instrumentation cache directory "
-                        "(content-addressed; see docs/COMPILE_PERF.md)")
     p_inst.add_argument("--lint", action="store_true",
                         help="lint the instrumented output "
                         "(issues to stderr; exit 1 on errors)")
@@ -756,8 +731,9 @@ def main(argv: list[str] | None = None) -> int:
                             help="burst: consecutive cells struck")
         p_crun.add_argument("--seed", type=int, default=0)
         p_crun.add_argument("--workers", type=int, default=1,
-                            help="worker processes (verdicts are identical "
-                            "for any worker count)")
+                            help="worker processes; more than one runs "
+                            "through the shard dispatcher (verdicts are "
+                            "identical for any worker count)")
         p_crun.add_argument("--log", default=None,
                             help="JSONL trial log (enables resume)")
         p_crun.add_argument("--resume", action="store_true",
@@ -777,9 +753,6 @@ def main(argv: list[str] | None = None) -> int:
                             help="run T trials per batch against one shared "
                             "memory image (records are canonical-identical "
                             "to --batch 1)")
-        p_crun.add_argument("--instrument-cache", default=None, metavar="DIR",
-                            help="on-disk instrumentation cache shared by all "
-                            "workers (sets REPRO_INSTRUMENT_CACHE)")
         p_crun.add_argument("--recover", action="store_true",
                             help="run every trial under the recovery "
                             "controller; verdicts become recovered / "
@@ -796,28 +769,20 @@ def main(argv: list[str] | None = None) -> int:
                             "golden runs / kernels / instrumented programs "
                             "(sets REPRO_ARTIFACT_STORE; see "
                             "docs/SERVICE.md)")
-        p_crun.add_argument("--shard-trials", type=int, default=None,
-                            metavar="T",
-                            help="service mode: trials per dispatched "
-                            "shard (default: auto, capped at 32)")
 
     p_crun = camp_sub.add_parser(
         "run", help="run a campaign (parallel, optionally logged)"
     )
     _add_campaign_run_args(p_crun)
-    p_crun.add_argument("--service", action="store_true",
-                        help="run through the shard dispatcher "
-                        "(crash-safe reissue, aggregate cache stats; "
-                        "records are bit-identical to --workers mode)")
     p_crun.set_defaults(func=cmd_campaign_run, serve=False)
 
     p_cserve = camp_sub.add_parser(
         "serve",
-        help="run a campaign through the shard dispatcher with live "
-        "per-shard progress (see docs/SERVICE.md)",
+        help="campaign run with live per-shard progress "
+        "(see docs/SERVICE.md)",
     )
     _add_campaign_run_args(p_cserve)
-    p_cserve.set_defaults(func=cmd_campaign_run, service=True, serve=True)
+    p_cserve.set_defaults(func=cmd_campaign_run, serve=True)
 
     p_cres = camp_sub.add_parser(
         "resume", help="finish a killed campaign from its JSONL log"

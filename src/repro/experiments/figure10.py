@@ -632,18 +632,7 @@ def main(argv: list[str] | None = None) -> None:
         default="compiled",
         help="execution backend (bit-identical counts; compiled is faster)",
     )
-    parser.add_argument(
-        "--instrument-cache",
-        default=None,
-        metavar="DIR",
-        help="on-disk instrumentation cache directory (content-"
-        "addressed; repeat harness runs skip the instrumenter)",
-    )
     args = parser.parse_args(argv)
-    if args.instrument_cache:
-        from repro.instrument.cache import set_cache_dir
-
-        set_cache_dir(args.instrument_cache)
     if args.list:
         print(format_table2())
         return

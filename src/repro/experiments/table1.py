@@ -275,13 +275,6 @@ def main(argv: list[str] | None = None) -> None:
         "incremental checksum updates and never execute a program, "
         "so the flag has no effect here",
     )
-    parser.add_argument(
-        "--instrument-cache",
-        default=None,
-        metavar="DIR",
-        help="accepted for harness uniformity; Table 1 never "
-        "instruments a program, so the flag has no effect here",
-    )
     args = parser.parse_args(argv)
     config = Table1Config(
         sizes=tuple(args.sizes),

@@ -11,19 +11,12 @@ re-instrument identical inputs, so :func:`instrument_cached` memoizes
 
 Storage is the ``instrument`` namespace of
 :mod:`repro.service.store`: an in-memory LRU with hit/miss/eviction
-counters, plus an on-disk layer holding one pickle per key.  The disk
-directory resolves in order:
-
-* ``set_cache_dir`` / the ``REPRO_INSTRUMENT_CACHE`` environment
-  variable (the historical opt-in; entries live directly in that
-  directory as ``<key>.pkl``), else
-* the unified artifact store's shared directory
-  (``REPRO_ARTIFACT_STORE`` / ``set_store_dir``), under its
-  ``instrument/`` subdirectory.
-
-Either way the store's disk semantics apply: writes are atomic (temp
-file + rename) and reads tolerant — a corrupted, truncated or
-unreadable entry is treated as a miss and recomputed, never an error.
+counters, plus an on-disk layer holding one pickle per key under the
+artifact store's ``instrument/`` subdirectory when a store directory
+is set (``--store`` / ``REPRO_ARTIFACT_STORE`` / ``set_store_dir``).
+The store's disk semantics apply: writes are atomic (temp file +
+rename) and reads tolerant — a corrupted, truncated or unreadable
+entry is treated as a miss and recomputed, never an error.
 
 ``Program`` is a frozen dataclass, so sharing the cached instance is
 safe; treat the cached :class:`InstrumentationReport` as read-only.
@@ -34,7 +27,6 @@ the key — that is the content-addressing contract.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -47,15 +39,11 @@ from repro.ir.nodes import Program
 from repro.ir.printer import program_to_text
 from repro.service.store import namespace
 
-ENV_CACHE_DIR = "REPRO_INSTRUMENT_CACHE"
-
 _Entry = tuple[Program, InstrumentationReport]
 
 _CODE_DIGEST: str | None = None
 
 _DEFAULT_LIMIT = 128
-
-_CACHE_DIR: Path | None = None
 
 
 def instrumenter_code_digest() -> str:
@@ -102,7 +90,6 @@ def _ns():
         limit=_DEFAULT_LIMIT,
         disk=True,
         decode=_validate,
-        dir_resolver=_legacy_dir,
     )
 
 
@@ -152,31 +139,6 @@ def instrument_cached(
     return _ns().get_or_compute(
         key, lambda: instrument_program(program, options)
     )
-
-
-# ----------------------------------------------------------------------
-# On-disk layer (opt-in)
-# ----------------------------------------------------------------------
-def _legacy_dir() -> Path | None:
-    """The instrument-specific directory, if configured.  Returning
-    ``None`` lets the namespace fall back to the unified store dir."""
-    if _CACHE_DIR is not None:
-        return _CACHE_DIR
-    env = os.environ.get(ENV_CACHE_DIR)
-    return Path(env) if env else None
-
-
-def cache_dir() -> Path | None:
-    """The active on-disk directory, if any (explicit beats env var,
-    which beats the shared artifact-store directory)."""
-    return _ns().directory()
-
-
-def set_cache_dir(path: str | os.PathLike | None) -> None:
-    """Enable (or with ``None`` disable) the instrument-specific disk
-    directory.  The shared store directory, when set, still applies."""
-    global _CACHE_DIR
-    _CACHE_DIR = Path(path) if path is not None else None
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Async shard dispatcher: a campaign as a fleet of index-range shards.
+"""Async shard dispatcher: a campaign's pending trials as index-range shards.
 
 Per-trial SHA-256 seeding (:func:`repro.campaign.spec.trial_seed`)
 makes every trial a pure function of ``(spec, index)``, so a campaign
@@ -8,26 +8,28 @@ all three freedoms:
 
 * **fan-out** — shards go to a pool of workers behind the
   :class:`WorkerEndpoint` protocol.  The bundled transport is
-  :class:`LocalProcessEndpoint` (one ``multiprocessing`` child per
-  worker slot, messages over a pipe); a multi-host transport only has
-  to implement the same three ``async`` methods.
+  :class:`LocalProcessEndpoint` (one forked child per worker slot,
+  messages over a pipe the event loop watches directly, so no helper
+  thread is alive when the next worker forks); a multi-host transport
+  only has to implement the same three ``async`` methods.
 * **streaming** — workers ship trial records back in small batches
   *while the shard runs*; the driver consumes them immediately (JSONL
-  log append, verdict counts, incremental Wilson interval), so
-  ``campaign serve`` reports live progress and per-shard throughput
-  instead of a terminal summary.
+  log append, verdict counts), so ``campaign serve`` reports live
+  progress and per-shard throughput instead of a terminal summary.
 * **reissue** — a worker crash mid-shard raises :class:`ShardFailed`;
   the dispatcher re-enqueues exactly the indices that never arrived
   (streamed partials are kept, deduplicated by index), replaces the
-  dead endpoint, and carries on.  ``max_attempts`` bounds the retries
-  per shard so a deterministically-crashing trial cannot loop forever.
+  dead endpoint, and carries on.  :data:`MAX_ATTEMPTS` bounds the
+  attempts per shard so a deterministically-crashing trial cannot loop
+  forever.
 
-Bit-identity contract: the record *set* equals ``campaign run
---workers N`` for every fault model, backend, batch size and
-``--prune static`` — shards execute through the same
-``_execute_trials`` loop as the engine's pool workers, prune runs in
-the driver before dispatch, and verdict counts are order-independent.
-``tests/campaign/test_service.py`` pins this differentially.
+:func:`dispatch` is the parallel half of
+:func:`repro.campaign.engine.run_campaign`, which owns everything
+around it: the resume split, the log, static pruning and the result.
+Shards execute through the engine's ``_execute_trials`` loop, so the
+record *set* equals a serial run's for every fault model, backend,
+batch size and ``--prune static``; ``tests/campaign/test_service.py``
+pins this differentially.
 
 Workers also ship artifact-store counter deltas with each completed
 shard, so the final :class:`~repro.campaign.engine.CampaignResult`
@@ -51,6 +53,9 @@ from repro.service.store import counters_add, counters_delta, counters_snapshot
 #: Records per streaming message — small enough for live progress,
 #: large enough that IPC never dominates a fast trial loop.
 RECORD_CHUNK = 16
+
+#: Attempts per shard before the campaign gives up.
+MAX_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,10 @@ class ShardReport:
 @dataclass
 class ServiceProgress:
     """Live snapshot handed to the ``progress`` callback after every
-    completed (or reissued) shard."""
+    completed (or reissued) shard.  ``counts`` and
+    ``detection_interval`` cover the whole campaign (resumed and pruned
+    trials included); :func:`repro.campaign.engine.run_campaign` fills
+    them in."""
 
     total_trials: int
     done_trials: int
@@ -202,14 +210,15 @@ def _worker_main(conn, spec_dict: dict) -> None:
 class LocalProcessEndpoint:
     """One worker child process, reached over a ``multiprocessing`` pipe.
 
-    The pipe read blocks in a thread-pool executor so many endpoints
-    multiplex on one event loop without a reader thread each being
-    hand-managed; sends are small and non-blocking in practice.
+    Forked where the platform allows it, spawned elsewhere.  The pipe
+    is read on the event loop itself (:meth:`_recv`), so many endpoints
+    multiplex on one loop and no reader thread exists when a later
+    endpoint — a second slot, or a replacement after a crash — forks.
     """
 
-    def __init__(self, spec, mp_context: str | None = None) -> None:
+    def __init__(self, spec) -> None:
         self.spec = spec
-        method = mp_context or (
+        method = (
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
             else "spawn"
@@ -229,19 +238,35 @@ class LocalProcessEndpoint:
         child.close()
         self._conn = parent
 
+    async def _recv(self):
+        """The next message, once the pipe is readable (or at EOF)."""
+        loop = asyncio.get_running_loop()
+        readable = loop.create_future()
+        fd = self._conn.fileno()
+
+        def on_readable() -> None:
+            if not readable.done():
+                readable.set_result(None)
+
+        loop.add_reader(fd, on_readable)
+        try:
+            await readable
+        finally:
+            loop.remove_reader(fd)
+        return self._conn.recv()
+
     async def run_shard(self, shard: Shard, on_record: Callable) -> dict:
         from repro.campaign.records import TrialRecord
 
         if self._conn is None:
             raise ShardFailed("endpoint not started")
-        loop = asyncio.get_running_loop()
         try:
             self._conn.send(("shard", list(shard.indices)))
         except (OSError, BrokenPipeError) as error:
             raise ShardFailed(f"worker pipe closed: {error}") from error
         while True:
             try:
-                message = await loop.run_in_executor(None, self._conn.recv)
+                message = await self._recv()
             except (EOFError, OSError) as error:
                 raise ShardFailed(
                     f"worker died mid-shard {shard.shard_id}: {error!r}"
@@ -279,12 +304,14 @@ class LocalProcessEndpoint:
 # ----------------------------------------------------------------------
 # The dispatcher
 # ----------------------------------------------------------------------
-def _make_shards(pending: list[int], workers: int, shard_trials: int | None):
+def _make_shards(
+    pending: list[int], workers: int, shard_trials: int | None = None
+):
     """Contiguous shards over the pending indices.
 
-    Default size targets several shards per worker (load balancing and
+    The size targets several shards per worker (load balancing and
     finer-grained crash recovery) but caps at 32 trials so progress
-    stays live on long campaigns.
+    stays live on long campaigns; ``shard_trials`` overrides it.
     """
     if not pending:
         return [], 0
@@ -299,108 +326,65 @@ def _make_shards(pending: list[int], workers: int, shard_trials: int | None):
     return shards, shard_trials
 
 
-def run_service_campaign(
+def dispatch(
     spec,
-    workers: int = 2,
-    shard_trials: int | None = None,
-    log_path: str | None = None,
-    resume: bool = False,
-    keep_records: bool = True,
+    pending: list[int],
+    workers: int,
+    consume: Callable,
     progress: Callable[[ServiceProgress], None] | None = None,
     endpoint_factory: Callable[[], WorkerEndpoint] | None = None,
-    max_attempts: int = 3,
-    mp_context: str | None = None,
-):
-    """Run a campaign through the shard dispatcher.
+) -> tuple[dict, dict]:
+    """Run the ``pending`` trial indices of ``spec`` on ``workers``
+    endpoints.
 
-    Same contract as :func:`repro.campaign.engine.run_campaign` —
-    records, counts, log format and resume semantics are bit-identical
-    — plus streaming progress, crash-safe shard reissue and a
-    ``result.service`` block with shard/throughput/reissue metrics.
+    ``consume`` receives every record exactly once, in arrival order (a
+    reissued shard's already-streamed records are deduplicated by
+    index).  ``progress`` receives a :class:`ServiceProgress` after
+    every completed or reissued shard; its verdict ``counts`` are left
+    for the caller to fill.  ``endpoint_factory`` must return a fresh,
+    unstarted :class:`WorkerEndpoint` per call (default: a
+    :class:`LocalProcessEndpoint`); tests inject crashing endpoints
+    here.
 
-    ``endpoint_factory`` swaps the transport (tests inject crashing
-    endpoints; multi-host backends slot in here).  Each call must
-    return a fresh, unstarted :class:`WorkerEndpoint`.
+    Returns ``(worker_totals, service_meta)``: the workers' summed
+    store-counter deltas and the shard metrics behind
+    ``result.service`` and the stats trailer's ``service`` block.
     """
-    from collections import Counter
-
-    from repro.campaign.engine import (
-        _build_result,
-        _load_done,
-        _open_log,
-        _prune_predicted,
-        aggregate_stats,
-    )
-    from repro.campaign.records import write_record, write_stats
-    from repro.campaign.stats import IncrementalSummary
-
-    if spec.trials < 0:
-        raise ValueError("trials must be >= 0")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     start = time.perf_counter()
-    driver_base = counters_snapshot()
-    done = _load_done(spec, log_path, resume)
-    pending = [i for i in range(spec.trials) if i not in done]
-    handle = _open_log(log_path, spec, done)
-
-    counts: Counter = Counter(r.verdict for r in done.values())
-    kept = list(done.values()) if keep_records else []
-    live = IncrementalSummary()
-    live.merge(dict(counts))
-
-    def consume(record) -> None:
-        counts[record.verdict] += 1
-        live.add(record.verdict)
-        if keep_records:
-            kept.append(record)
-        if handle is not None:
-            write_record(handle, record)
-
-    pending, pruned = _prune_predicted(spec, pending, consume)
-    shards, shard_size = _make_shards(pending, workers, shard_trials)
-
+    shards, shard_size = _make_shards(pending, workers)
     if endpoint_factory is None:
-        endpoint_factory = lambda: LocalProcessEndpoint(  # noqa: E731
-            spec, mp_context=mp_context
-        )
+        endpoint_factory = lambda: LocalProcessEndpoint(spec)  # noqa: E731
 
     worker_totals: dict = {}
     reports: list[ShardReport] = []
-    state = {"reissued": 0, "done_trials": 0}
+    reissued = 0
     done_indices: set[int] = set()
-    total_trials = len(pending)
 
     def emit_progress(last: ShardReport | None) -> None:
         if progress is None:
             return
         progress(
             ServiceProgress(
-                total_trials=total_trials,
-                done_trials=state["done_trials"],
+                total_trials=len(pending),
+                done_trials=len(done_indices),
                 total_shards=len(shards),
                 completed_shards=len(reports),
-                reissued=state["reissued"],
+                reissued=reissued,
                 elapsed=time.perf_counter() - start,
-                counts=dict(live.counts),
-                detection_interval=live.detection_interval(),
                 last_report=last,
             )
         )
 
-    async def drive() -> None:
-        queue = deque(shards)
-        next_shard_id = len(shards)
-
-        def on_record(record) -> None:
-            if record.index in done_indices:
-                return
+    def on_record(record) -> None:
+        if record.index not in done_indices:
             done_indices.add(record.index)
-            state["done_trials"] += 1
             consume(record)
 
+    async def drive() -> None:
+        queue = deque(shards)
+
         async def worker_loop(slot: int) -> None:
-            nonlocal next_shard_id
+            nonlocal reissued
             if not queue:
                 return
             endpoint = endpoint_factory()
@@ -417,7 +401,7 @@ def run_service_campaign(
                         )
                         await endpoint.close()
                         if missing:
-                            if shard.attempt >= max_attempts:
+                            if shard.attempt >= MAX_ATTEMPTS:
                                 raise RuntimeError(
                                     f"shard {shard.shard_id} failed "
                                     f"{shard.attempt} times; giving up: "
@@ -430,7 +414,7 @@ def run_service_campaign(
                                     attempt=shard.attempt + 1,
                                 )
                             )
-                            state["reissued"] += 1
+                            reissued += 1
                         emit_progress(None)
                         endpoint = endpoint_factory()
                         await endpoint.start()
@@ -445,53 +429,25 @@ def run_service_campaign(
                     )
                     reports.append(report)
                     emit_progress(report)
-                    if handle is not None:
-                        handle.flush()
             finally:
                 await endpoint.close()
 
         async with asyncio.TaskGroup() as group:
-            for slot in range(min(workers, max(1, len(shards)))):
+            for slot in range(min(workers, len(shards))):
                 group.create_task(worker_loop(slot))
 
-    service_meta = None
-    try:
-        if shards:
-            try:
-                asyncio.run(drive())
-            except BaseExceptionGroup as group:
-                # TaskGroup wraps worker-loop failures; surface the
-                # first real error with the engine's exception contract.
-                raise group.exceptions[0] from group
-        service_meta = {
-            "workers": workers,
-            "shards": len(shards),
-            "shard_trials": shard_size,
-            "reissued": state["reissued"],
-            "reports": [report.to_json() for report in reports],
-        }
-        if handle is not None:
-            write_stats(
-                handle,
-                aggregate_stats(worker_totals, driver_base)
-                | {"service": service_meta},
-            )
-    finally:
-        if handle is not None:
-            handle.close()
-
-    if keep_records:
-        kept.sort(key=lambda record: record.index)
-    return _build_result(
-        spec=spec,
-        counts=dict(counts),
-        records=kept if keep_records else None,
-        elapsed=time.perf_counter() - start,
-        resumed_trials=len(done),
-        log_path=log_path,
-        workers=workers,
-        pruned=pruned,
-        worker_totals=worker_totals,
-        driver_base=driver_base,
-        service=service_meta,
-    )
+    if shards:
+        try:
+            asyncio.run(drive())
+        except BaseExceptionGroup as group:
+            # TaskGroup wraps worker-loop failures; surface the first
+            # real error with the engine's exception contract.
+            raise group.exceptions[0] from group
+    service_meta = {
+        "workers": workers,
+        "shards": len(shards),
+        "shard_trials": shard_size,
+        "reissued": reissued,
+        "reports": [report.to_json() for report in reports],
+    }
+    return worker_totals, service_meta

@@ -1,15 +1,15 @@
-"""Service-dispatcher contracts: bit-identity, crash reissue, warm store.
+"""Shard-dispatcher contracts: bit-identity, crash reissue, warm store.
 
-The tentpole guarantee (ISSUE 10 acceptance criteria): a serviced
-campaign — shard dispatcher plus unified artifact store — produces
-records bit-identical to ``campaign run --workers N`` for every fault
-model, backend, batch size and ``--prune static``; a worker killed
-mid-shard costs a reissue, never a record; and a warm second run over
-a shared disk store is nearly pure cache hits.
+Every parallel ``run_campaign`` runs through the shard dispatcher.  Its
+records are canonical-identical to a serial run for every fault model,
+backend, batch size, ``--prune static`` and ``--recover``; a worker
+killed mid-shard costs a reissue, never a record; and a warm second
+run over a shared disk store is nearly pure cache hits.
 """
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -26,9 +26,9 @@ from repro.service import (
     ServiceProgress,
     Shard,
     ShardFailed,
-    run_service_campaign,
     set_store_dir,
 )
+from repro.service.dispatcher import MAX_ATTEMPTS
 from repro.service.store import namespace_hit_rate
 
 
@@ -74,19 +74,22 @@ def _program_spec(**kwargs):
 
 
 class TestBitIdentity:
-    """Serviced campaign == engine campaign, canonically."""
+    """A parallel campaign (through the dispatcher) == a serial one,
+    canonically."""
 
     def test_checksum_campaign(self):
-        base = run_campaign(CHECKSUM_SPEC, workers=2)
-        svc = run_service_campaign(CHECKSUM_SPEC, workers=2)
-        assert canonical(base) == canonical(svc)
-        assert base.counts == svc.counts
+        serial = run_campaign(CHECKSUM_SPEC, workers=1)
+        parallel = run_campaign(CHECKSUM_SPEC, workers=2)
+        assert canonical(serial) == canonical(parallel)
+        assert serial.counts == parallel.counts
+        assert serial.service is None
+        assert parallel.service["workers"] == 2
 
     def test_program_campaign(self):
         spec = _program_spec()
-        base = run_campaign(spec, workers=2)
-        svc = run_service_campaign(spec, workers=2)
-        assert canonical(base) == canonical(svc)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
 
     @pytest.mark.parametrize("model", FAULT_MODELS)
     def test_every_fault_model(self, model):
@@ -97,22 +100,22 @@ class TestBitIdentity:
             scale="small",
             fault_model=model,
         )
-        base = run_campaign(spec, workers=1)
-        svc = run_service_campaign(spec, workers=2, shard_trials=2)
-        assert canonical(base) == canonical(svc)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
 
     @pytest.mark.parametrize("backend", ("interp", "compiled"))
     def test_every_backend(self, backend):
         spec = _program_spec(backend=backend)
-        base = run_campaign(spec, workers=1)
-        svc = run_service_campaign(spec, workers=2, shard_trials=3)
-        assert canonical(base) == canonical(svc)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
 
     def test_batched_trials(self):
         spec = _program_spec(trials=10, batch=4)
-        base = run_campaign(spec, workers=1)
-        svc = run_service_campaign(spec, workers=2, shard_trials=5)
-        assert canonical(base) == canonical(svc)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
 
     def test_static_prune(self):
         spec = ProgramCampaignSpec(
@@ -122,55 +125,68 @@ class TestBitIdentity:
             scale="small",
             prune="static",
         )
-        base = run_campaign(spec, workers=1)
-        svc = run_service_campaign(spec, workers=2, shard_trials=3)
-        assert canonical(base) == canonical(svc)
-        assert base.pruned == svc.pruned
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
+        assert serial.pruned == parallel.pruned
 
     def test_recovery_campaign(self):
         spec = _program_spec(trials=6, recover=True)
-        base = run_campaign(spec, workers=1)
-        svc = run_service_campaign(spec, workers=2, shard_trials=2)
-        assert canonical(base) == canonical(svc)
+        serial = run_campaign(spec, workers=1)
+        parallel = run_campaign(spec, workers=2)
+        assert canonical(serial) == canonical(parallel)
 
-    def test_worker_and_shard_count_invariance(self):
-        one = run_service_campaign(CHECKSUM_SPEC, workers=1, shard_trials=7)
-        three = run_service_campaign(CHECKSUM_SPEC, workers=3, shard_trials=13)
-        assert canonical(one) == canonical(three)
+    def test_worker_count_invariance(self):
+        serial = run_campaign(CHECKSUM_SPEC, workers=1)
+        two = run_campaign(CHECKSUM_SPEC, workers=2)
+        three = run_campaign(CHECKSUM_SPEC, workers=3)
+        assert canonical(serial) == canonical(two) == canonical(three)
+        assert two.service["shards"] != three.service["shards"]
+
+    def test_progress_alone_dispatches(self):
+        # One worker plus a progress callback still runs sharded.
+        serial = run_campaign(CHECKSUM_SPEC, workers=1)
+        sharded = run_campaign(
+            CHECKSUM_SPEC, workers=1, progress=lambda progress: None
+        )
+        assert canonical(serial) == canonical(sharded)
+        assert sharded.service["workers"] == 1
 
 
 class TestLogAndResume:
-    def test_log_matches_engine_log(self, tmp_path):
-        engine_log = str(tmp_path / "engine.jsonl")
-        service_log = str(tmp_path / "service.jsonl")
-        run_campaign(CHECKSUM_SPEC, workers=2, log_path=engine_log)
-        run_service_campaign(CHECKSUM_SPEC, workers=2, log_path=service_log)
-        left = [r.canonical() for r in read_log(engine_log).records]
-        right = [r.canonical() for r in read_log(service_log).records]
+    def test_log_matches_serial_log(self, tmp_path):
+        serial_log = str(tmp_path / "serial.jsonl")
+        parallel_log = str(tmp_path / "parallel.jsonl")
+        run_campaign(CHECKSUM_SPEC, workers=1, log_path=serial_log)
+        run_campaign(CHECKSUM_SPEC, workers=2, log_path=parallel_log)
+        left = [r.canonical() for r in read_log(serial_log).records]
+        right = [r.canonical() for r in read_log(parallel_log).records]
         assert left == right
 
     def test_stats_trailer_written(self, tmp_path):
-        log = str(tmp_path / "svc.jsonl")
-        run_service_campaign(CHECKSUM_SPEC, workers=2, log_path=log)
+        log = str(tmp_path / "parallel.jsonl")
+        result = run_campaign(CHECKSUM_SPEC, workers=2, log_path=log)
         contents = read_log(log)
         assert contents.stats is not None
         assert "golden" in contents.stats["store"]
+        assert contents.stats["service"] == result.service
         assert contents.stats["service"]["shards"] >= 1
         # The trailer is valid JSONL understood (skipped or parsed) by
         # every reader — the last line of the file.
-        last = json.loads(open(log).read().splitlines()[-1])
+        with open(log) as handle:
+            last = json.loads(handle.read().splitlines()[-1])
         assert last["type"] == "stats"
 
     def test_resume_from_truncated_log(self, tmp_path):
-        log = str(tmp_path / "svc.jsonl")
-        full = run_service_campaign(CHECKSUM_SPEC, workers=2, log_path=log)
+        log = str(tmp_path / "parallel.jsonl")
+        full = run_campaign(CHECKSUM_SPEC, workers=2, log_path=log)
         with open(log) as handle:
             lines = handle.readlines()
         keep = 1 + 40  # header + 40 trials
         with open(log, "w") as handle:
             handle.writelines(lines[:keep])
             handle.write('{"type": "trial", "ind')  # torn tail
-        resumed = run_service_campaign(
+        resumed = run_campaign(
             CHECKSUM_SPEC, workers=2, log_path=log, resume=True
         )
         assert resumed.resumed_trials == 40
@@ -178,14 +194,14 @@ class TestLogAndResume:
 
     def test_progress_callbacks_stream(self):
         seen: list[ServiceProgress] = []
-        run_service_campaign(
-            CHECKSUM_SPEC, workers=2, shard_trials=30, progress=seen.append
-        )
-        assert len(seen) == 4  # one per shard
+        result = run_campaign(CHECKSUM_SPEC, workers=2, progress=seen.append)
+        assert len(seen) == result.service["shards"]  # one per shard
         assert seen[-1].done_trials == CHECKSUM_SPEC.trials
-        assert seen[-1].completed_shards == 4
+        assert seen[-1].completed_shards == result.service["shards"]
+        assert seen[-1].counts == result.counts
         low, high = seen[-1].detection_interval
         assert 0.0 <= low <= high <= 1.0
+        assert (low, high) == result.summary().detection_interval()
         assert all(p.last_report is not None for p in seen)
 
 
@@ -199,11 +215,13 @@ class _CrashingEndpoint:
 
     PREFIX = 3
 
-    def __init__(self, spec, crashes):
+    def __init__(self, spec, crashes, threads_at_start):
         self._inner = LocalProcessEndpoint(spec)
         self._crashes = crashes
+        self._threads_at_start = threads_at_start
 
     async def start(self):
+        self._threads_at_start.append(threading.active_count())
         await self._inner.start()
 
     async def run_shard(self, shard, on_record):
@@ -238,21 +256,25 @@ class TestCrashReissue:
     def test_killed_worker_reissues_missing_indices(self, tmp_path):
         log = str(tmp_path / "crash.jsonl")
         crashes = {"remaining": 1}
-        svc = run_service_campaign(
+        threads_at_start: list[int] = []
+        result = run_campaign(
             CHECKSUM_SPEC,
             workers=2,
-            shard_trials=30,
             log_path=log,
             endpoint_factory=lambda: _CrashingEndpoint(
-                CHECKSUM_SPEC, crashes
+                CHECKSUM_SPEC, crashes, threads_at_start
             ),
         )
         assert crashes["remaining"] == 0
-        assert svc.service["reissued"] >= 1
+        assert result.service["reissued"] >= 1
+        # Two slots plus the crashed slot's replacement, and no helper
+        # thread alive when any of them forked.
+        assert len(threads_at_start) == 3
+        assert threads_at_start == [1] * len(threads_at_start)
         serial = run_campaign(CHECKSUM_SPEC, workers=1)
         # Verdict-by-index identity with an uninterrupted serial run —
         # in memory and in the rewritten JSONL log.
-        assert canonical(svc) == canonical(serial)
+        assert canonical(result) == canonical(serial)
         logged = {r.index: r.verdict for r in read_log(log).records}
         expected = {r.index: r.verdict for r in serial.records}
         assert logged == expected
@@ -268,15 +290,15 @@ class TestCrashReissue:
             async def close(self):
                 pass
 
-        with pytest.raises(RuntimeError, match="giving up"):
-            run_service_campaign(
+        with pytest.raises(RuntimeError, match="failed 3 times; giving up"):
+            run_campaign(
                 ChecksumCampaignSpec(
                     size=64, bits=2, pattern="random", trials=6, seed=1
                 ),
-                workers=1,
-                max_attempts=2,
+                workers=2,
                 endpoint_factory=lambda: _DeadEndpoint(),
             )
+        assert MAX_ATTEMPTS == 3
 
 
 class TestWarmStore:
@@ -285,8 +307,8 @@ class TestWarmStore:
         spec = ProgramCampaignSpec(
             trials=6, seed=11, benchmark="cholesky", scale="small"
         )
-        cold = run_service_campaign(spec, workers=2)
-        warm = run_service_campaign(spec, workers=2)
+        cold = run_campaign(spec, workers=2)
+        warm = run_campaign(spec, workers=2)
         assert canonical(cold) == canonical(warm)
         rate = namespace_hit_rate(
             warm.store, ("golden", "kernel", "instrument")
@@ -303,12 +325,13 @@ class TestWarmStore:
         spec = ProgramCampaignSpec(
             trials=6, seed=11, benchmark="jacobi1d", scale="small"
         )
-        result = run_service_campaign(spec, workers=2, shard_trials=2)
+        result = run_campaign(spec, workers=2)
         golden = result.store["golden"]
-        # Three shards, two workers: each worker prepares at most once
-        # (shards reuse the worker's prepared context), so golden-run
-        # work is bounded by the worker count, not the shard count.
-        assert result.service["shards"] == 3
+        # Six one-trial shards, two workers: each worker prepares at
+        # most once (shards reuse the worker's prepared context), so
+        # golden-run work is bounded by the worker count, not the
+        # shard count.
+        assert result.service["shards"] == 6
         assert golden["misses"] + golden["disk_hits"] <= 2
         assert golden["misses"] + golden["disk_hits"] >= 1
 
@@ -317,7 +340,7 @@ class TestShardPlanning:
     def test_shards_cover_pending_exactly(self):
         from repro.service.dispatcher import _make_shards
 
-        shards, size = _make_shards(list(range(100)), workers=3, shard_trials=None)
+        shards, size = _make_shards(list(range(100)), workers=3)
         flat = [i for shard in shards for i in shard.indices]
         assert flat == list(range(100))
         assert size <= 32
@@ -333,4 +356,4 @@ class TestShardPlanning:
     def test_empty_pending(self):
         from repro.service.dispatcher import _make_shards
 
-        assert _make_shards([], workers=2, shard_trials=None) == ([], 0)
+        assert _make_shards([], workers=2) == ([], 0)

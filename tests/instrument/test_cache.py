@@ -18,6 +18,7 @@ from repro.instrument.pipeline import (
 )
 from repro.ir.parser import parse_program
 from repro.ir.printer import program_to_text
+from repro.service.store import ENV_STORE_DIR, set_store_dir
 
 PROGRAM_TEXT = """
 program p(n) {
@@ -33,11 +34,11 @@ OPT = InstrumentationOptions(index_set_splitting=True, hoist_inspectors=True)
 
 @pytest.fixture(autouse=True)
 def clean_cache(monkeypatch):
-    monkeypatch.delenv(icache.ENV_CACHE_DIR, raising=False)
-    icache.set_cache_dir(None)
+    monkeypatch.delenv(ENV_STORE_DIR, raising=False)
+    set_store_dir(None)
     icache.clear_cache()
     yield
-    icache.set_cache_dir(None)
+    set_store_dir(None)
     icache.clear_cache()
     icache.set_cache_limit(128)
 
@@ -88,7 +89,7 @@ class TestMemoryLayer:
 
 class TestDiskLayer:
     def test_roundtrip(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
+        set_store_dir(tmp_path)
         first = instrument_cached(program, OPT)
         icache.clear_cache()  # drop memory, keep disk
         second = instrument_cached(program, OPT)
@@ -98,9 +99,9 @@ class TestDiskLayer:
         assert set(second[1].plans) == set(first[1].plans)
 
     def test_corrupted_entry_recomputed(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
+        set_store_dir(tmp_path)
         first = instrument_cached(program, OPT)
-        path = tmp_path / f"{cache_key(program, OPT)}.pkl"
+        path = tmp_path / "instrument" / f"{cache_key(program, OPT)}.pkl"
         path.write_bytes(b"not a pickle")
         icache.clear_cache()
         second = instrument_cached(program, OPT)
@@ -112,23 +113,24 @@ class TestDiskLayer:
         assert icache.cache_stats()["disk_hits"] == 1
 
     def test_wrong_payload_type_rejected(self, program, tmp_path):
-        icache.set_cache_dir(tmp_path)
-        path = tmp_path / f"{cache_key(program, OPT)}.pkl"
+        set_store_dir(tmp_path)
+        path = tmp_path / "instrument" / f"{cache_key(program, OPT)}.pkl"
+        path.parent.mkdir()
         path.write_bytes(pickle.dumps({"not": "an entry"}))
         instrument_cached(program, OPT)
         assert icache.cache_stats()["misses"] == 1
 
     def test_env_var_enables_disk(self, program, tmp_path, monkeypatch):
-        monkeypatch.setenv(icache.ENV_CACHE_DIR, str(tmp_path))
-        assert icache.cache_dir() == tmp_path
+        monkeypatch.setenv(ENV_STORE_DIR, str(tmp_path))
         instrument_cached(program, OPT)
-        assert (tmp_path / f"{cache_key(program, OPT)}.pkl").exists()
+        key = cache_key(program, OPT)
+        assert (tmp_path / "instrument" / f"{key}.pkl").exists()
 
     def test_unwritable_dir_degrades_to_memory(self, program, tmp_path):
         target = tmp_path / "sub"
         target.mkdir()
         target.chmod(0o500)  # read/execute only
-        icache.set_cache_dir(target)
+        set_store_dir(target)
         try:
             first = instrument_cached(program, OPT)
             second = instrument_cached(program, OPT)

@@ -182,21 +182,20 @@ class TestDiskLayer:
         set_store_dir(tmp_path / "explicit")
         assert store_dir() == tmp_path / "explicit"
 
-    def test_dir_resolver_wins(self, tmp_path):
+    def test_store_dir_holds_one_subdir_per_namespace(self, tmp_path):
         set_store_dir(tmp_path / "store")
-        private = tmp_path / "private"
-        ns = Namespace("t-resolver", disk=True, dir_resolver=lambda: private)
+        ns = Namespace("t-subdir", disk=True)
+        assert ns.directory() == tmp_path / "store" / "t-subdir"
         ns.get_or_compute("k", lambda: 1)
-        assert (private / "k.pkl").exists()
+        assert (tmp_path / "store" / "t-subdir" / "k.pkl").exists()
 
     def test_unwritable_dir_degrades(self, tmp_path):
         target = tmp_path / "ro"
         target.mkdir()
         os.chmod(target, 0o500)
         try:
-            ns = Namespace(
-                "t-ro", disk=True, dir_resolver=lambda: target / "sub"
-            )
+            set_store_dir(target / "sub")
+            ns = Namespace("t-ro", disk=True)
             assert ns.get_or_compute("k", lambda: 9) == 9
         finally:
             os.chmod(target, 0o700)

@@ -237,6 +237,38 @@ class TestCampaign:
         assert info.value.code == 2
         assert "vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        (
+            (["campaign", "run", "--benchmark", "jacobi1d", "--service"],
+             "--service"),
+            (["campaign", "run", "--benchmark", "jacobi1d",
+              "--shard-trials", "4"], "--shard-trials"),
+            (["campaign", "serve", "--benchmark", "jacobi1d",
+              "--shard-trials", "4"], "--shard-trials"),
+            (["campaign", "run", "--benchmark", "jacobi1d",
+              "--instrument-cache", "cache"], "--instrument-cache"),
+            (["instrument", "demo.loop", "--instrument-cache", "cache"],
+             "--instrument-cache"),
+        ),
+        ids=("run-service", "run-shard-trials", "serve-shard-trials",
+             "run-instrument-cache", "instrument-instrument-cache"),
+    )
+    def test_removed_dispatch_and_cache_options_rejected(
+        self, argv, option, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ("table1", "figure10"))
+    def test_experiments_reject_instrument_cache(self, experiment, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([experiment, "--instrument-cache", "cache"])
+        assert info.value.code == 2
+        assert "--instrument-cache" in capsys.readouterr().err
+
 
 class TestMacroParsing:
     def test_macro_statements_round_trip(self):
